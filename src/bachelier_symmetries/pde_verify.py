@@ -5,10 +5,10 @@ Everything this package produces claims to satisfy
     r S C_S + (sigma^2 / 2) C_SS + C_t - r C = 0,
 
 and this module is the referee. Residuals come in two flavours: from exact
-closed-form partial derivatives when the function provides them, and from
-Richardson-extrapolated central differences for arbitrary callables (the
-only option for pipeline-transformed solutions, which have no closed-form
-partials).
+partial derivatives when the function provides them (combo-backed and
+pipeline-transformed solutions do), and from Richardson-extrapolated
+central differences for arbitrary callables, which also serve as an oracle
+independent of those exact partials.
 
 Residuals are reported normalised by the largest magnitude among the four
 PDE terms, floored at 1, so solutions passing through zero are still
@@ -133,7 +133,7 @@ def residual_fd(
     if h_t is None:
         h_t = default_step(t)
     if h_S is None:
-        h_S = default_step(t)
+        h_S = default_step(S)
     if h_t <= 0.0 or h_S <= 0.0:
         raise InvalidParameter("finite-difference steps must be positive")
     centre = f(t, S)
@@ -158,9 +158,10 @@ def residual_scan(
     """Residual statistics for f over a grid.
 
     mode "analytic" requires f to expose exact partials via a
-    ``partials(t, S)`` method (combo-backed solutions do); transformed
-    pipelines have none, so scan those with mode "fd". Points where the
-    evaluation raises DomainError are skipped and counted as failures.
+    ``partials(t, S)`` method; combo-backed solutions do, and so do
+    pipelines over them (``chain_function``, ``transformed``). mode "fd"
+    works on any callable. Points where the evaluation raises DomainError
+    are skipped and counted as failures.
 
     The scan is a deterministic row-major sweep (t outer, S inner) with
     exactly rounded mean accumulation, so reports are reproducible; f may
@@ -171,8 +172,8 @@ def residual_scan(
         raise InvalidParameter(f"mode must be 'analytic' or 'fd', got {mode!r}")
     if mode == "analytic" and not hasattr(f, "partials"):
         raise InvalidParameter(
-            "analytic mode needs exact partials; pipeline-transformed functions "
-            "must be scanned with mode='fd'")
+            "analytic mode needs exact partials via partials(t, S); "
+            "scan other callables with mode='fd'")
     worst = -1.0
     worst_point = None
     normalized_values = []

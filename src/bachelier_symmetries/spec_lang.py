@@ -222,9 +222,9 @@ def format_expr(expr: SolutionExpr) -> str:
 def expression_function(expr: SolutionExpr, params: ModelParams):
     """Bind an expression to market parameters as a plain (t, S) callable.
 
-    With an empty pipeline the result is a ComboSolution, which also
-    carries exact partials; pipelined expressions evaluate through the
-    pullback chain and support pointwise calls only.
+    With an empty pipeline the result is a ComboSolution; pipelined
+    expressions evaluate through the pullback chain. Both carry exact
+    partials via ``partials(t, S)``.
     """
     base = ComboSolution(expr.combo, params)
     if not expr.pipeline:

@@ -26,6 +26,12 @@ original solution there, and pushing the value forward through the C
 component of the group action. G_4 and G_5 involve a logarithm and a square
 root, so both directions carry per-point domain conditions; there is no
 global admissible parameter range, the check happens at each evaluation.
+
+Every G_i has the form t' = T(t), S' = A(t) S + B(t), C' = K(t, S) C, so its
+second prolongation (Olver, Applications of Lie Groups to Differential
+Equations, GTM 107, ch. 2) carries (C, C_t, C_S, C_SS) at the source point
+to the same four numbers at the image point, with no C_tt or C_tS needed.
+`chain_function` uses that to give transported solutions exact partials.
 """
 
 from __future__ import annotations
@@ -133,6 +139,72 @@ def forward_map(g: GroupElement, jp: JetPoint, params: ModelParams) -> JetPoint:
     return JetPoint(t, S, C * safe_exp(eps))
 
 
+def _prolong(
+    g: GroupElement,
+    t: float,
+    S: float,
+    jet: tuple[float, float, float, float],
+    params: ModelParams,
+) -> tuple[float, float, float, float]:
+    """Carry (C, C_t, C_S, C_SS) at the source point (t, S) to its image under g.
+
+    Each branch gives T'(t), A(t), dS'/dt, the C factor K of ``forward_map``
+    (same arithmetic, so the value matches it bit for bit) and K_t, K_S,
+    K_SS; the chain rule below is shared by all six groups. The identity
+    returns the input unchanged.
+    """
+    eps = g.epsilon
+    if eps == 0.0:
+        return jet
+    c, c_t, c_s, c_ss = jet
+    r, sigma = params.r, params.sigma
+    i = g.gen_index
+    d_T, A, d_S = 1.0, 1.0, 0.0
+    K, K_t, K_S, K_SS = 1.0, 0.0, 0.0, 0.0
+    if i == 2:
+        d_S = r * eps * safe_exp(r * t)
+    elif i == 3:
+        shift = eps * safe_exp(-r * t)
+        d_S = -r * shift
+        K = safe_exp(-r * shift * (shift + 2.0 * S) / sigma**2)
+        K_t = K * 2.0 * r * r * shift * (shift + S) / sigma**2
+        K_S = K * -2.0 * r * shift / sigma**2
+        K_SS = K_S * -2.0 * r * shift / sigma**2
+    elif i == 4:
+        grow = safe_exp(2.0 * r * t)
+        w = grow + eps
+        if w <= 0.0:
+            raise DomainError(
+                f"group 4 needs e^(2rt) + eps > 0; got {w:.6g} at t = {t!r}", argument=w)
+        d_T = grow / w
+        A = safe_exp(r * t) / math.sqrt(w)
+        d_S = S * A * r * eps / w
+        K = w * safe_exp(-2.0 * r * t + r * eps * S * S / (sigma * sigma * w))
+        # logarithmic derivatives of K = w exp(-2rt + r eps S^2 / (sigma^2 w))
+        log_S = 2.0 * r * eps * S / (sigma * sigma * w)
+        K_t = K * (-2.0 * r * eps / w - log_S * r * S * grow / w)
+        K_S = K * log_S
+        K_SS = K * (log_S * log_S + 2.0 * r * eps / (sigma * sigma * w))
+    elif i == 5:
+        shrink = safe_exp(-2.0 * r * t)
+        v = shrink + eps
+        if v <= 0.0:
+            raise DomainError(
+                f"group 5 needs e^(-2rt) + eps > 0; got {v:.6g} at t = {t!r}", argument=v)
+        d_T = shrink / v
+        A = K = safe_exp(-r * t) / math.sqrt(v)
+        d_S = -S * A * r * eps / v
+        K_t = -K * r * eps / v
+    elif i == 6:
+        K = safe_exp(eps)
+    # C'(t', S') = K(t, S) C(t, S) with t = T^{-1}(t'), S = (S' - B(t)) / A(t)
+    h_S = K_S * c + K * c_s
+    image_s = h_S / A
+    image_ss = (K_SS * c + 2.0 * K_S * c_s + K * c_ss) / (A * A)
+    image_t = (K_t * c + K * c_t - d_S * image_s) / d_T
+    return (c * K, image_t, image_s, image_ss)
+
+
 def inverse_point_map(
     g: GroupElement, target_t: float, target_S: float, params: ModelParams
 ) -> tuple[float, float]:
@@ -193,12 +265,28 @@ def pullback(
 def transformed(
     g: GroupElement, f: Callable[[float, float], float], params: ModelParams
 ) -> Callable[[float, float], float]:
-    """Bind ``pullback`` into a reusable (t, S) callable."""
+    """f transported through one group element: ``chain_function((g,), f, params)``."""
+    return chain_function((g,), f, params)
 
-    def value(t: float, S: float) -> float:
-        return pullback(g, f, t, S, params)
 
-    return value
+def _pre_images(
+    stages: tuple[GroupElement, ...], t: float, S: float, params: ModelParams
+) -> list[tuple[float, float]]:
+    """(t, S) followed by its pre-images under the last, then earlier, stages.
+
+    A DomainError raised while inverting some stage is re-raised with that
+    stage's zero-based index attached.
+    """
+    points = [(t, S)]
+    for idx in range(len(stages) - 1, -1, -1):
+        back_t, back_S = points[-1]
+        try:
+            points.append(inverse_point_map(stages[idx], back_t, back_S, params))
+        except DomainError as err:
+            raise DomainError(
+                f"pipeline stage {idx} (G{stages[idx].gen_index}): {err}",
+                argument=err.argument, stage=idx) from err
+    return points
 
 
 def pullback_chain(
@@ -215,15 +303,7 @@ def pullback_chain(
     attached.
     """
     stages = tuple(pipeline)
-    points = [(t, S)]
-    for idx in range(len(stages) - 1, -1, -1):
-        back_t, back_S = points[-1]
-        try:
-            points.append(inverse_point_map(stages[idx], back_t, back_S, params))
-        except DomainError as err:
-            raise DomainError(
-                f"pipeline stage {idx} (G{stages[idx].gen_index}): {err}",
-                argument=err.argument, stage=idx) from err
+    points = _pre_images(stages, t, S, params)
     value = f(*points[-1])
     n = len(stages)
     for idx, g in enumerate(stages):
@@ -232,18 +312,46 @@ def pullback_chain(
     return value
 
 
+class _Transported:
+    """A solution pushed through a pipeline, as a (t, S) callable with partials.
+
+    Calls evaluate ``pullback_chain``. ``partials(t, S)`` returns exact
+    (C, C_t, C_S, C_SS): the base's partials at the pre-image, carried
+    through each stage's prolongation. It needs a base that has
+    ``partials`` itself and raises InvalidParameter otherwise.
+    """
+
+    __slots__ = ("stages", "base", "params")
+
+    def __init__(self, stages, base, params):
+        self.stages = stages
+        self.base = base
+        self.params = params
+
+    def __call__(self, t: float, S: float) -> float:
+        return pullback_chain(self.stages, self.base, t, S, self.params)
+
+    def partials(self, t: float, S: float) -> tuple[float, float, float, float]:
+        base_partials = getattr(self.base, "partials", None)
+        if base_partials is None:
+            raise InvalidParameter(
+                "exact partials of a transported solution need a base with partials(t, S)")
+        stages, params = self.stages, self.params
+        points = _pre_images(stages, t, S, params)
+        jet = base_partials(*points[-1])
+        n = len(stages)
+        for idx, g in enumerate(stages):
+            jet = _prolong(g, *points[n - idx], jet, params)
+        return jet
+
+
 def chain_function(
     pipeline: Sequence[GroupElement],
     f: Callable[[float, float], float],
     params: ModelParams,
 ) -> Callable[[float, float], float]:
-    """Bind ``pullback_chain`` into a reusable (t, S) callable."""
-    stages = tuple(pipeline)
-
-    def value(t: float, S: float) -> float:
-        return pullback_chain(stages, f, t, S, params)
-
-    return value
+    """Bind ``pullback_chain`` into a reusable (t, S) callable with exact partials."""
+    return _Transported(tuple(pipeline), f, params)
 
 
 def generator_eval(i: int, jp: JetPoint, params: ModelParams) -> GeneratorComponents:

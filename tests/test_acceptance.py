@@ -48,14 +48,20 @@ def test_criterion_2_superposition_residual(capsys):
 
 
 def test_criterion_3_transform_closure(capsys):
-    """FD residual <= 1e-6 for every group, eps in sweep, base member, < 30 s."""
+    """Every group, eps in sweep, base member: closure_G* (exact prolonged
+    partials, 21x21 grid) <= 1e-12 and closure_fd_G* (finite differences,
+    6x6 subgrid) <= 1e-6, < 30 s."""
     start = time.perf_counter()
     results = ver.transform_closure()
     elapsed = time.perf_counter() - start
-    ok = all(r.passed for r in results) and elapsed < CLOSURE_BUDGET_S
+    analytic = [r for r in results if r.name.startswith("closure_G")]
+    fd = [r for r in results if r.name.startswith("closure_fd_G")]
+    ok = (all(r.passed for r in results) and len(analytic) == 6 and len(fd) == 6
+          and _worst(analytic) <= 1e-12 and _worst(fd) <= 1e-6
+          and elapsed < CLOSURE_BUDGET_S)
     _report(capsys, "criterion-3 transform closure", ok,
-            f"6 groups x 4 eps x 20 members, worst {_worst(results):.3e} "
-            f"(tol 1e-6), {elapsed:.1f}s")
+            f"6 groups x 4 eps x 20 members, closure_G worst {_worst(analytic):.3e} "
+            f"(tol 1e-12), closure_fd_G worst {_worst(fd):.3e} (tol 1e-6), {elapsed:.1f}s")
 
 
 def test_criterion_4_closed_form_reproduction(capsys):

@@ -110,6 +110,18 @@ class TestResidualFd:
         err_fine = abs(residual_fd(control, t, S, P, h_t=h / 2, h_S=h / 2)[0] - raw_exact)
         assert err_coarse / err_fine >= 8.0
 
+    def test_price_step_scales_with_price(self):
+        # the S stencil sits at S +/- h_S and S +/- h_S/2 with h_S = default_step(S)
+        seen = []
+
+        def recording(t, S):
+            seen.append((t, S))
+            return S
+
+        residual_fd(recording, 0.3, 5.0, P)
+        offsets = sorted({abs(s - 5.0) for t, s in seen if t == 0.3 and s != 5.0})
+        assert offsets == pytest.approx([0.5 * default_step(5.0), default_step(5.0)], rel=1e-9)
+
     def test_rejects_bad_steps(self):
         with pytest.raises(InvalidParameter):
             residual_fd(ComboSolution(SolutionTerm(1, 0), P), 0.1, 0.1, P, h_t=0.0)

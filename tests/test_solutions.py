@@ -102,7 +102,7 @@ class TestFamilyValues:
 
 def _fd_partials(term, t, S, params):
     h_t = default_step(t)
-    h_s = default_step(t)
+    h_s = default_step(S)
 
     def f(tt, ss):
         return eval_term(term, tt, ss, params)

@@ -3,8 +3,16 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bachelier_symmetries.errors import DomainError, InvalidParameter
+from bachelier_symmetries.errors import DomainError, InvalidParameter, RangeError
+from bachelier_symmetries.pde_verify import (
+    GridSpec,
+    default_step,
+    derivative_richardson,
+    residual_from_partials,
+    residual_scan,
+)
 from bachelier_symmetries.solutions import ComboSolution, ModelParams, SolutionTerm
 from bachelier_symmetries.symmetry import (
     FLOW_ORIENTATION,
@@ -21,6 +29,7 @@ from bachelier_symmetries.symmetry import (
     transformed,
 )
 from bachelier_symmetries.reference_forms import g4_family_from_linear
+from bachelier_symmetries.verification import TOL_CLOSURE_RESIDUAL
 
 P = ModelParams(r=0.05, sigma=0.2)
 JETS = [JetPoint(0.0, 1.0, 1.0), JetPoint(0.4, -0.8, 2.5), JetPoint(-0.6, 1.7, -0.3),
@@ -163,6 +172,76 @@ class TestPullback:
 
         with pytest.raises(RangeError):
             pullback(GroupElement(4, 1.05), self.linear, 0.5, 1.0, P)
+
+
+def _central_partials(f, t, S):
+    """C_t, C_S, C_SS of f from Richardson-improved central differences."""
+    h = default_step(S)
+    c_t = derivative_richardson(lambda x: f(x, S), t)
+    c_s = derivative_richardson(lambda x: f(t, x), S)
+    centre = f(t, S)
+    coarse = (f(t, S + h) - 2.0 * centre + f(t, S - h)) / (h * h)
+    fine = (f(t, S + 0.5 * h) - 2.0 * centre + f(t, S - 0.5 * h)) / (0.25 * h * h)
+    return c_t, c_s, (4.0 * fine - coarse) / 3.0
+
+
+class TestProlongedPartials:
+    @given(
+        pipeline=st.lists(st.tuples(st.integers(1, 6), st.floats(-0.4, 0.4)),
+                          min_size=1, max_size=4),
+        q=st.integers(1, 4),
+        degree=st.integers(0, 4),
+        r=st.sampled_from((0.05, -0.03)),
+        t=st.floats(0.0, 1.0),
+        S=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pipeline_partials(self, pipeline, q, degree, r, t, S):
+        params = ModelParams(r, 0.2)
+        stages = tuple(GroupElement(i, eps) for i, eps in pipeline)
+        f = chain_function(stages, ComboSolution(SolutionTerm(q, -2 * degree), params), params)
+        try:
+            source_t, source_S = t, S
+            for g in reversed(stages):
+                source_t, source_S = inverse_point_map(g, source_t, source_S, params)
+            c, c_t, c_s, c_ss = f.partials(t, S)
+            value = f(t, S)
+            numeric = _central_partials(f, t, S)
+        except (DomainError, RangeError):
+            assume(False)
+        # the envelope: the base is evaluated within twice the suites' price
+        # range; far beyond it, near a G4/G5 domain boundary, Gaussian
+        # exponents pass 100 and their rounding alone exceeds 1e-14
+        assume(abs(source_S) <= 4.0)
+        assert abs(c - value) <= 1e-14 * abs(value)
+        _, residual = residual_from_partials(c, c_t, c_s, c_ss, S, params)
+        assert residual <= TOL_CLOSURE_RESIDUAL
+        scale = max(1.0, abs(c), abs(c_t), abs(c_s), abs(c_ss))
+        for exact, fd in zip((c_t, c_s, c_ss), numeric):
+            assert abs(exact - fd) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("i", range(1, 7))
+    def test_identity_keeps_base_partials(self, i):
+        base = ComboSolution(SolutionTerm(3, -4), P)
+        f = chain_function((GroupElement(i, 0.0),), base, P)
+        assert f.partials(0.35, -1.3) == base.partials(0.35, -1.3)
+
+    @pytest.mark.parametrize("pipeline", [
+        (GroupElement(6, 0.1), GroupElement(4, 2.0)),
+        (GroupElement(4, 2.0), GroupElement(6, 0.1)),
+    ])
+    def test_domain_error_names_the_same_stage(self, pipeline):
+        base = ComboSolution(SolutionTerm(1, 0), P)
+        with pytest.raises(DomainError) as from_chain:
+            pullback_chain(pipeline, base, 0.0, 1.0, P)
+        with pytest.raises(DomainError) as from_partials:
+            chain_function(pipeline, base, P).partials(0.0, 1.0)
+        assert from_partials.value.stage == from_chain.value.stage
+
+    def test_base_without_partials_rejected_in_analytic_scan(self):
+        f = chain_function((GroupElement(2, 0.5),), lambda t, s: s, P)
+        with pytest.raises(InvalidParameter):
+            residual_scan(f, GridSpec((0.0, 1.0), (-1.0, 1.0), 3, 3), P, mode="analytic")
 
 
 class TestGenerators:
