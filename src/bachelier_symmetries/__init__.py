@@ -27,11 +27,9 @@ from .kummer import (
 from .solutions import (
     BaseCombo,
     ComboSolution,
-    EvalPoint,
     ModelParams,
     SolutionTerm,
     eval_combo,
-    eval_combo_partials,
     eval_term,
     eval_term_partials,
     safe_exp,
@@ -48,7 +46,6 @@ from .symmetry import (
     inverse_point_map,
     pullback,
     pullback_chain,
-    surface_defect,
     transformed,
 )
 from .pde_verify import (
@@ -82,7 +79,6 @@ __all__ = [
     "CheckResult",
     "ComboSolution",
     "DomainError",
-    "EvalPoint",
     "FLOW_ORIENTATION",
     "GeneratorComponents",
     "GridSpec",
@@ -100,7 +96,6 @@ __all__ = [
     "default_step",
     "derivative_richardson",
     "eval_combo",
-    "eval_combo_partials",
     "eval_term",
     "eval_term_partials",
     "expression_function",
@@ -125,7 +120,6 @@ __all__ = [
     "residual_scan",
     "run_scope",
     "safe_exp",
-    "surface_defect",
     "transformed",
     "worked_combo",
 ]

@@ -5,10 +5,12 @@ Everything this package produces claims to satisfy
     r S C_S + (sigma^2 / 2) C_SS + C_t - r C = 0,
 
 and this module is the referee. Residuals come in two flavours: from exact
-partial derivatives when the function provides them (combo-backed and
-pipeline-transformed solutions do), and from Richardson-extrapolated
-central differences for arbitrary callables, which also serve as an oracle
-independent of those exact partials.
+partial derivatives when the function provides them (combo-backed
+solutions do, and so do pipeline-transformed ones, whose partials are the
+base's carried to the target point by the chain rule on each stage's group
+record read at -eps), and from Richardson-extrapolated central differences
+for arbitrary callables, which also serve as an oracle independent of
+those exact partials.
 
 Residuals are reported normalised by the largest magnitude among the four
 PDE terms, floored at 1, so solutions passing through zero are still

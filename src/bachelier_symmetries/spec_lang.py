@@ -223,8 +223,10 @@ def expression_function(expr: SolutionExpr, params: ModelParams):
     """Bind an expression to market parameters as a plain (t, S) callable.
 
     With an empty pipeline the result is a ComboSolution; pipelined
-    expressions evaluate through the pullback chain. Both carry exact
-    partials via ``partials(t, S)``.
+    expressions evaluate through ``pullback_chain``, which reads each
+    stage's group record at -eps back to the pre-image. Both carry exact
+    partials via ``partials(t, S)``, the pipelined ones by the chain rule on
+    the same records.
     """
     base = ComboSolution(expr.combo, params)
     if not expr.pipeline:

@@ -13,25 +13,29 @@ not by a group element here):
     xi_5 = (e^{2rt} / 2r) d/dt + (e^{2rt} S / 2) d/dS + (e^{2rt} C / 2) d/dC
     xi_6 = C d/dC
 
-`forward_map` applies the corresponding finite transformations G_1 .. G_6
-in their conventional closed forms. In that normalisation the parameter of
-G_4 and G_5 runs along the flow of -xi_4 and -xi_5; FLOW_ORIENTATION
-records the sign per group so tangency checks can tie the finite maps to
-the vector fields.
+Each finite transformation G_1 .. G_6 is written once, as a record (see
+`_RECORDS`): at a point (t, S) and a parameter eps it gives the image point,
+the log C-factor k and the first-order data of its prolongation. Every G_i
+has the form t' = T(t), S' = A(t) S + B(t), C' = e^{k(t, S)} C, so its second
+prolongation (Olver, Applications of Lie Groups to Differential Equations,
+GTM 107, ch. 2) carries (C, C_t, C_S, C_SS) with no C_tt or C_tS needed, and
+its inverse is the same map at -eps. `forward_map` reads the record at eps;
+`inverse_point_map` reads it at -eps. The records use the conventional
+closed forms, in which the parameter of G_4 and G_5 runs along the flow of
+-xi_4 and -xi_5; FLOW_ORIENTATION records the sign per group so tangency
+checks can tie the finite maps to the hand-written vector fields of
+`generator_eval`.
 
-A group element maps solution graphs to solution graphs. `pullback`
-materialises the mapped graph as a function again: the value at a point is
-found by pulling the point back through the inverse point map, reading the
-original solution there, and pushing the value forward through the C
-component of the group action. G_4 and G_5 involve a logarithm and a square
-root, so both directions carry per-point domain conditions; there is no
-global admissible parameter range, the check happens at each evaluation.
-
-Every G_i has the form t' = T(t), S' = A(t) S + B(t), C' = K(t, S) C, so its
-second prolongation (Olver, Applications of Lie Groups to Differential
-Equations, GTM 107, ch. 2) carries (C, C_t, C_S, C_SS) at the source point
-to the same four numbers at the image point, with no C_tt or C_tS needed.
-`chain_function` uses that to give transported solutions exact partials.
+A group element maps solution graphs to solution graphs. `pullback_chain`
+materialises the mapped graph as a function again: it walks the point back
+through the pipeline, reading each stage's record at -eps, evaluates the
+original solution at the pre-image, and multiplies by e^{-k} per stage,
+because e^{k_eps(t0, S0)} = e^{-k_{-eps}(t', S')}. `chain_function` binds
+that into a callable whose `partials` apply the chain rule to the same
+records, so transported solutions have exact partials. G_4 and G_5 involve a
+logarithm and a square root, so both directions carry per-point domain
+conditions; there is no global admissible parameter range, the check
+happens at each evaluation.
 """
 
 from __future__ import annotations
@@ -100,6 +104,66 @@ class GeneratorComponents(NamedTuple):
     C_comp: float
 
 
+# A group record: G_i(eps) read at the source point (t, S). Every G_i has
+# the form t' = T(t), S' = A(t) S + B(t), C' = e^k(t, S) C, and its record
+# is the tuple
+#
+#     (t', S', k, dt'/dt, A, dS'/dt, k_t, k_S, k_SS)
+#
+# that is, the image point, the log C-factor, and the first-order data its
+# prolongation needs. The G4/G5 domain checks live here and nowhere else.
+
+def _g1(t, S, eps, params):
+    return (t + eps, S, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _g2(t, S, eps, params):
+    drift = eps * safe_exp(params.r * t)
+    return (t, S + drift, 0.0, 1.0, 1.0, params.r * drift, 0.0, 0.0, 0.0)
+
+
+def _g3(t, S, eps, params):
+    r, sigma2 = params.r, params.sigma * params.sigma
+    shift = eps * safe_exp(-r * t)
+    return (t, S + shift, -r * shift * (shift + 2.0 * S) / sigma2, 1.0, 1.0, -r * shift,
+            2.0 * r * r * shift * (shift + S) / sigma2, -2.0 * r * shift / sigma2, 0.0)
+
+
+def _g4(t, S, eps, params):
+    r, sigma2 = params.r, params.sigma * params.sigma
+    grow = safe_exp(2.0 * r * t)
+    w = grow + eps
+    if w <= 0.0:
+        raise DomainError(
+            f"G4 needs e^(2rt) + eps > 0; got {w:.6g} at t = {t!r}, eps = {eps!r}", argument=w)
+    log_w = math.log(w)
+    A = safe_exp(r * t) / math.sqrt(w)
+    k_S = 2.0 * r * eps * S / (sigma2 * w)
+    return (log_w / (2.0 * r), A * S, log_w - 2.0 * r * t + 0.5 * k_S * S,
+            grow / w, A, A * S * r * eps / w,
+            -2.0 * r * eps / w - k_S * r * S * grow / w, k_S, 2.0 * r * eps / (sigma2 * w))
+
+
+def _g5(t, S, eps, params):
+    r = params.r
+    shrink = safe_exp(-2.0 * r * t)
+    v = shrink + eps
+    if v <= 0.0:
+        raise DomainError(
+            f"G5 needs e^(-2rt) + eps > 0; got {v:.6g} at t = {t!r}, eps = {eps!r}", argument=v)
+    log_v = math.log(v)
+    A = safe_exp(-r * t) / math.sqrt(v)
+    return (-log_v / (2.0 * r), A * S, -r * t - 0.5 * log_v,
+            shrink / v, A, -A * S * r * eps / v, -r * eps / v, 0.0, 0.0)
+
+
+def _g6(t, S, eps, params):
+    return (t, S, eps, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
+
+_RECORDS = (_g1, _g2, _g3, _g4, _g5, _g6)
+
+
 def forward_map(g: GroupElement, jp: JetPoint, params: ModelParams) -> JetPoint:
     """Apply one finite group element to a point of (t, S, C) space.
 
@@ -111,98 +175,14 @@ def forward_map(g: GroupElement, jp: JetPoint, params: ModelParams) -> JetPoint:
     eps = g.epsilon
     if eps == 0.0:
         return JetPoint(t, S, C)
-    r, sigma = params.r, params.sigma
-    i = g.gen_index
-    if i == 1:
-        return JetPoint(t + eps, S, C)
-    if i == 2:
-        return JetPoint(t, S + eps * safe_exp(r * t), C)
-    if i == 3:
-        shift = eps * safe_exp(-r * t)
-        return JetPoint(t, S + shift, C * safe_exp(-r * shift * (shift + 2.0 * S) / sigma**2))
-    if i == 4:
-        w = safe_exp(2.0 * r * t) + eps
-        if w <= 0.0:
-            raise DomainError(
-                f"group 4 needs e^(2rt) + eps > 0; got {w:.6g} at t = {t!r}", argument=w)
-        # C factor: exp(-r (2 sigma^2 t w - eps S^2) / (sigma^2 w)) * w,
-        # with the exponent reduced to -2rt + r eps S^2 / (sigma^2 w)
-        factor = w * safe_exp(-2.0 * r * t + r * eps * S * S / (sigma * sigma * w))
-        return JetPoint(math.log(w) / (2.0 * r), safe_exp(r * t) * S / math.sqrt(w), C * factor)
-    if i == 5:
-        v = safe_exp(-2.0 * r * t) + eps
-        if v <= 0.0:
-            raise DomainError(
-                f"group 5 needs e^(-2rt) + eps > 0; got {v:.6g} at t = {t!r}", argument=v)
-        damp = safe_exp(-r * t) / math.sqrt(v)
-        return JetPoint(-math.log(v) / (2.0 * r), S * damp, C * damp)
-    return JetPoint(t, S, C * safe_exp(eps))
+    image_t, image_S, k = _RECORDS[g.gen_index - 1](t, S, eps, params)[:3]
+    return JetPoint(image_t, image_S, C * safe_exp(k))
 
 
-def _prolong(
-    g: GroupElement,
-    t: float,
-    S: float,
-    jet: tuple[float, float, float, float],
-    params: ModelParams,
-) -> tuple[float, float, float, float]:
-    """Carry (C, C_t, C_S, C_SS) at the source point (t, S) to its image under g.
-
-    Each branch gives T'(t), A(t), dS'/dt, the C factor K of ``forward_map``
-    (same arithmetic, so the value matches it bit for bit) and K_t, K_S,
-    K_SS; the chain rule below is shared by all six groups. The identity
-    returns the input unchanged.
-    """
-    eps = g.epsilon
-    if eps == 0.0:
-        return jet
-    c, c_t, c_s, c_ss = jet
-    r, sigma = params.r, params.sigma
-    i = g.gen_index
-    d_T, A, d_S = 1.0, 1.0, 0.0
-    K, K_t, K_S, K_SS = 1.0, 0.0, 0.0, 0.0
-    if i == 2:
-        d_S = r * eps * safe_exp(r * t)
-    elif i == 3:
-        shift = eps * safe_exp(-r * t)
-        d_S = -r * shift
-        K = safe_exp(-r * shift * (shift + 2.0 * S) / sigma**2)
-        K_t = K * 2.0 * r * r * shift * (shift + S) / sigma**2
-        K_S = K * -2.0 * r * shift / sigma**2
-        K_SS = K_S * -2.0 * r * shift / sigma**2
-    elif i == 4:
-        grow = safe_exp(2.0 * r * t)
-        w = grow + eps
-        if w <= 0.0:
-            raise DomainError(
-                f"group 4 needs e^(2rt) + eps > 0; got {w:.6g} at t = {t!r}", argument=w)
-        d_T = grow / w
-        A = safe_exp(r * t) / math.sqrt(w)
-        d_S = S * A * r * eps / w
-        K = w * safe_exp(-2.0 * r * t + r * eps * S * S / (sigma * sigma * w))
-        # logarithmic derivatives of K = w exp(-2rt + r eps S^2 / (sigma^2 w))
-        log_S = 2.0 * r * eps * S / (sigma * sigma * w)
-        K_t = K * (-2.0 * r * eps / w - log_S * r * S * grow / w)
-        K_S = K * log_S
-        K_SS = K * (log_S * log_S + 2.0 * r * eps / (sigma * sigma * w))
-    elif i == 5:
-        shrink = safe_exp(-2.0 * r * t)
-        v = shrink + eps
-        if v <= 0.0:
-            raise DomainError(
-                f"group 5 needs e^(-2rt) + eps > 0; got {v:.6g} at t = {t!r}", argument=v)
-        d_T = shrink / v
-        A = K = safe_exp(-r * t) / math.sqrt(v)
-        d_S = -S * A * r * eps / v
-        K_t = -K * r * eps / v
-    elif i == 6:
-        K = safe_exp(eps)
-    # C'(t', S') = K(t, S) C(t, S) with t = T^{-1}(t'), S = (S' - B(t)) / A(t)
-    h_S = K_S * c + K * c_s
-    image_s = h_S / A
-    image_ss = (K_SS * c + 2.0 * K_S * c_s + K * c_ss) / (A * A)
-    image_t = (K_t * c + K * c_t - d_S * image_s) / d_T
-    return (c * K, image_t, image_s, image_ss)
+def _no_pre_image(g: GroupElement, err: DomainError, stage: int | None = None) -> DomainError:
+    where = "" if stage is None else f"pipeline stage {stage}: "
+    return DomainError(f"{where}no pre-image under G{g.gen_index}({g.epsilon!r}): {err}",
+                       argument=err.argument, stage=stage)
 
 
 def inverse_point_map(
@@ -210,39 +190,17 @@ def inverse_point_map(
 ) -> tuple[float, float]:
     """The unique (t0, S0) whose image under ``forward_map`` has the target point part.
 
-    Only the point components are inverted; every group element scales C by
-    a nonzero factor, so the C direction never obstructs invertibility.
-    Raises DomainError when the pre-image does not exist (log/sqrt domain of
-    groups 4 and 5).
+    G_i(eps) is inverted by G_i(-eps). Raises DomainError when the
+    pre-image does not exist (log/sqrt domain of groups 4 and 5).
     """
     eps = g.epsilon
     if eps == 0.0:
         return (target_t, target_S)
-    r = params.r
-    i = g.gen_index
-    if i == 1:
-        return (target_t - eps, target_S)
-    if i == 2:
-        return (target_t, target_S - eps * safe_exp(r * target_t))
-    if i == 3:
-        return (target_t, target_S - eps * safe_exp(-r * target_t))
-    if i == 4:
-        w = safe_exp(2.0 * r * target_t) - eps
-        if w <= 0.0:
-            raise DomainError(
-                f"no pre-image under group 4: e^(2rt) - eps = {w:.6g} at t = {target_t!r}",
-                argument=w)
-        t0 = math.log(w) / (2.0 * r)
-        return (t0, target_S * safe_exp(r * target_t) / math.sqrt(w))
-    if i == 5:
-        v = safe_exp(-2.0 * r * target_t) - eps
-        if v <= 0.0:
-            raise DomainError(
-                f"no pre-image under group 5: e^(-2rt) - eps = {v:.6g} at t = {target_t!r}",
-                argument=v)
-        t0 = -math.log(v) / (2.0 * r)
-        return (t0, target_S * safe_exp(-r * target_t) / math.sqrt(v))
-    return (target_t, target_S)
+    try:
+        record = _RECORDS[g.gen_index - 1](target_t, target_S, -eps, params)
+    except DomainError as err:
+        raise _no_pre_image(g, err) from err
+    return (record[0], record[1])
 
 
 def pullback(
@@ -252,14 +210,8 @@ def pullback(
     S: float,
     params: ModelParams,
 ) -> float:
-    """Value at (t, S) of the solution obtained by transporting f through g.
-
-    Whenever f solves the pricing PDE, the transported function of (t, S)
-    solves it as well; that closure property is what the verification
-    suites check on grids.
-    """
-    t0, S0 = inverse_point_map(g, t, S, params)
-    return forward_map(g, JetPoint(t0, S0, f(t0, S0)), params).C
+    """Value at (t, S) of f transported through g: ``pullback_chain((g,), ...)``."""
+    return pullback_chain((g,), f, t, S, params)
 
 
 def transformed(
@@ -269,24 +221,25 @@ def transformed(
     return chain_function((g,), f, params)
 
 
-def _pre_images(
-    stages: tuple[GroupElement, ...], t: float, S: float, params: ModelParams
-) -> list[tuple[float, float]]:
-    """(t, S) followed by its pre-images under the last, then earlier, stages.
+def _pull_back(stages, t, S, params):
+    """The pre-image of (t, S) under the pipeline, and the records on the way.
 
-    A DomainError raised while inverting some stage is re-raised with that
-    stage's zero-based index attached.
+    Walks from the last stage to the first, reading each stage's record at
+    -eps at the current point; identity stages are skipped. A DomainError is
+    re-raised with the failing stage's zero-based index attached.
     """
-    points = [(t, S)]
+    records = []
     for idx in range(len(stages) - 1, -1, -1):
-        back_t, back_S = points[-1]
+        g = stages[idx]
+        if g.epsilon == 0.0:
+            continue
         try:
-            points.append(inverse_point_map(stages[idx], back_t, back_S, params))
+            record = _RECORDS[g.gen_index - 1](t, S, -g.epsilon, params)
         except DomainError as err:
-            raise DomainError(
-                f"pipeline stage {idx} (G{stages[idx].gen_index}): {err}",
-                argument=err.argument, stage=idx) from err
-    return points
+            raise _no_pre_image(g, err, idx) from err
+        t, S = record[0], record[1]
+        records.append(record)
+    return t, S, records
 
 
 def pullback_chain(
@@ -298,17 +251,16 @@ def pullback_chain(
 ) -> float:
     """Left-to-right composition of pullbacks: the first element acts on f first.
 
-    An empty pipeline evaluates f itself. A DomainError raised while
-    inverting some stage is re-raised with that stage's zero-based index
-    attached.
+    The value is f at the pipeline's pre-image of (t, S), times e^{-k} for
+    each stage's record k read at -eps, since e^{k_eps(t0, S0)} =
+    e^{-k_{-eps}(t', S')}. An empty pipeline evaluates f itself. A
+    DomainError raised while inverting some stage carries that stage's
+    zero-based index.
     """
-    stages = tuple(pipeline)
-    points = _pre_images(stages, t, S, params)
-    value = f(*points[-1])
-    n = len(stages)
-    for idx, g in enumerate(stages):
-        t0, S0 = points[n - idx]
-        value = forward_map(g, JetPoint(t0, S0, value), params).C
+    t0, S0, records = _pull_back(tuple(pipeline), t, S, params)
+    value = f(t0, S0)
+    for record in reversed(records):
+        value *= safe_exp(-record[2])
     return value
 
 
@@ -317,8 +269,8 @@ class _Transported:
 
     Calls evaluate ``pullback_chain``. ``partials(t, S)`` returns exact
     (C, C_t, C_S, C_SS): the base's partials at the pre-image, carried
-    through each stage's prolongation. It needs a base that has
-    ``partials`` itself and raises InvalidParameter otherwise.
+    through each stage by the chain rule on its record. It needs a base
+    that has ``partials`` itself and raises InvalidParameter otherwise.
     """
 
     __slots__ = ("stages", "base", "params")
@@ -336,13 +288,19 @@ class _Transported:
         if base_partials is None:
             raise InvalidParameter(
                 "exact partials of a transported solution need a base with partials(t, S)")
-        stages, params = self.stages, self.params
-        points = _pre_images(stages, t, S, params)
-        jet = base_partials(*points[-1])
-        n = len(stages)
-        for idx, g in enumerate(stages):
-            jet = _prolong(g, *points[n - idx], jet, params)
-        return jet
+        t0, S0, records = _pull_back(self.stages, t, S, self.params)
+        c, c_t, c_s, c_ss = base_partials(t0, S0)
+        # C'(t', S') = E c(t0, S0) with E = e^{-k}, (t0, S0) = G(-eps)(t', S')
+        # and every derivative below taken along the -eps record
+        for _, _, k, d_t, A, d_s, k_t, k_S, k_SS in reversed(records):
+            E = safe_exp(-k)
+            c, c_t, c_s, c_ss = (
+                E * c,
+                E * (d_t * c_t + d_s * c_s - k_t * c),
+                E * (A * c_s - k_S * c),
+                E * (A * A * c_ss - 2.0 * k_S * A * c_s + (k_S * k_S - k_SS) * c),
+            )
+        return (c, c_t, c_s, c_ss)
 
 
 def chain_function(

@@ -104,6 +104,10 @@ class TestInversePointMap:
             image = forward_map(g, JetPoint(t0, s0, 1.0), P)
             assert abs(image.t - jp.t) <= 1e-13 * max(1.0, abs(jp.t))
             assert abs(image.S - jp.S) <= 1e-13 * max(1.0, abs(jp.S))
+            # G(-eps) undoes G(eps) on the whole jet point, C included
+            back = forward_map(GroupElement(i, -eps), forward_map(g, jp, P), P)
+            for a, b in zip(back, jp):
+                assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
     def test_group4_pre_image_time(self):
         # target chosen so e^{2rt} = 2; with eps = 0.5 the source has e^{2rt0} = 1.5
