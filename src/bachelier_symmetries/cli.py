@@ -26,7 +26,7 @@ from .errors import DomainError, InvalidParameter, ParseError, RangeError, Seman
 from .pde_verify import GridSpec
 from .solutions import ModelParams
 from .spec_lang import SolutionExpr, expression_function, format_expr, parse_expr, parse_group_element
-from .verification import run_scope
+from .verification import SCOPES, run_scope
 
 __all__ = ["main"]
 
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a check suite")
     common(p_verify)
     p_verify.add_argument("--scope", default=None,
-                          choices=("theorem1", "theorem2", "groups", "examples", "all"),
+                          choices=tuple(SCOPES),
                           help="which suite to run (default: all)")
 
     p_transform = sub.add_parser("transform", help="append a group element to an expression")
@@ -96,12 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> set[str]:
-    """Fill unset flags from the config file; returns the explicitly set keys."""
-    explicit = {
-        key for key in _CONFIG_KEYS
-        if getattr(args, key.replace("-", "_"), None) is not None
-    }
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill unset flags from the config file; a value left None was given nowhere."""
     if args.config is not None:
         for key, text in load_config(args.config).items():
             dest = key.replace("-", "_")
@@ -115,8 +111,6 @@ def _merge_config(args: argparse.Namespace) -> set[str]:
                 setattr(args, dest, value)
             else:
                 setattr(args, dest, text)
-            explicit.add(key)
-    return explicit
 
 
 def _require(args, *keys):
@@ -150,7 +144,7 @@ def _parse_axis(label: str, text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _cmd_eval(args, explicit) -> int:
+def _cmd_eval(args) -> int:
     _require(args, "expr", "t", "S")
     expr = parse_expr(args.expr)
     value = expression_function(expr, _params(args))(args.t, args.S)
@@ -158,7 +152,7 @@ def _cmd_eval(args, explicit) -> int:
     return 0
 
 
-def _cmd_table(args, explicit) -> int:
+def _cmd_table(args) -> int:
     _require(args, "expr", "t-range", "S-range")
     expr = parse_expr(args.expr)
     t_lo, t_hi, nt = _parse_axis("t-range", args.t_range)
@@ -179,9 +173,9 @@ def _cmd_table(args, explicit) -> int:
     return 0
 
 
-def _cmd_verify(args, explicit) -> int:
+def _cmd_verify(args) -> int:
     scope = args.scope if args.scope is not None else "all"
-    params = _params(args) if explicit & {"r", "sigma"} else None
+    params = _params(args) if args.r is not None or args.sigma is not None else None
     results = run_scope(scope, params)
     width = max(len(res.name) for res in results)
     lines = []
@@ -197,7 +191,7 @@ def _cmd_verify(args, explicit) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _cmd_transform(args, explicit) -> int:
+def _cmd_transform(args) -> int:
     _require(args, "expr")
     expr = parse_expr(args.expr)
     element = parse_group_element(args.group)
@@ -241,8 +235,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        explicit = _merge_config(args)
-        return _COMMANDS[args.command](args, explicit)
+        _merge_config(args)
+        return _COMMANDS[args.command](args)
     except (ParseError, SemanticError, InvalidParameter) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -16,8 +16,16 @@ sweep. The coefficients are built with the term-ratio recurrence
 
     c_0 = 1,    c_{k+1} = c_k * (k - m) / ((b + k) (k + 1)),
 
-so no factorial-sized intermediates appear and the scheme stays accurate
-up to the largest order the package uses (m around 50).
+so no factorial-sized intermediates appear. The monomial Horner sweep
+loses digits to cancellation at positive u. Measured against exact
+rational evaluation of the same polynomial, with the error relative to
+max(1, |F|), b in {1/2, 3/2} and u on a 0.25 grid:
+
+    m <= 20, u in [-10, 0]    8.1e-16
+    m <= 6,  u in [-5, 5]     4.3e-14
+    m <= 20, u in [-5, 5]     6.4e-11
+    m <= 20, u in [0, 20]     1.8e-6
+    m <= 50, u in [-5, 5]     1.9e-5
 """
 
 from __future__ import annotations

@@ -177,7 +177,9 @@ def eval_term_partials(
 
     Product and chain rule over the S prefactor, the Gaussian factor and the
     Kummer polynomial; the t dependence is a single exponential carrier, so
-    C_t is proportional to C.
+    C_t is proportional to C. The carrier and the Gaussian factor share one
+    exponential, rounded exactly as in ``eval_term``, and the Gaussian
+    contributes its polynomial factor (1, -u', u'^2 - u'').
     """
     b, sgn, with_price, with_gauss, na, nb = _CLASS_TABLE[term.class_q]
     r, sigma = params.r, params.sigma
@@ -192,11 +194,12 @@ def eval_term_partials(
     fac = (p0, sgn * du * p1, du * du * p2 + sgn * d2u * p1)
     if with_price:
         fac = _triple_mul((S, 1.0, 0.0), fac)
-    if with_gauss:
-        g = safe_exp(-u)
-        fac = _triple_mul((g, -du * g, (du * du - d2u) * g), fac)
     alpha = (na * term.order_n + nb) * r
-    carrier = term.coeff * safe_exp(alpha * t)
+    exponent = alpha * t
+    if with_gauss:
+        fac = _triple_mul((1.0, -du, du * du - d2u), fac)
+        exponent -= u
+    carrier = term.coeff * safe_exp(exponent)
     c = carrier * fac[0]
     return c, alpha * c, carrier * fac[1], carrier * fac[2]
 

@@ -66,7 +66,7 @@ def test_criterion_3_transform_closure(capsys):
 
 def test_criterion_4_closed_form_reproduction(capsys):
     """Pullback route matches the three hand-coded families to 1e-11."""
-    results = ver.reference_reproductions(n_triples=20)
+    results = ver.reference_reproductions()
     ok = all(r.passed for r in results) and len(results) == 3
     _report(capsys, "criterion-4 closed-form reproduction", ok,
             f"3 families x 20 triples, worst {_worst(results):.3e} (tol 1e-11)")
@@ -74,7 +74,7 @@ def test_criterion_4_closed_form_reproduction(capsys):
 
 def test_criterion_5_group_laws(capsys):
     """Identity exact at eps = 0; additivity to 1e-12 on 100 samples per group."""
-    results = ver.group_laws(n_samples=100)
+    results = ver.group_laws()
     ok = all(r.passed for r in results)
     additivity = [r for r in results if r.name.startswith("additivity")]
     _report(capsys, "criterion-5 group laws", ok,
@@ -83,7 +83,7 @@ def test_criterion_5_group_laws(capsys):
 
 def test_criterion_6_generator_tangency(capsys):
     """d/deps of each finite map at 0 matches its generator to 1e-6 (100 jets)."""
-    results = ver.generator_tangency(n_samples=100)
+    results = ver.generator_tangency()
     ok = all(r.passed for r in results)
     _report(capsys, "criterion-6 generator tangency", ok,
             f"6 generators, worst {_worst(results):.3e} (tol 1e-6)")
@@ -107,7 +107,7 @@ def test_criterion_8_kummer_identities(capsys):
 
 def test_criterion_9_dsl_round_trip(capsys):
     """1000 random expressions round-trip; malformed corpus errors are located."""
-    results = ver.dsl_roundtrip(n_expressions=1000)
+    results = ver.dsl_roundtrip()
     ok = all(r.passed for r in results)
     _report(capsys, "criterion-9 expression language", ok,
             "; ".join(f"{r.name}: {r.detail}" for r in results))

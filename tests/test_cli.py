@@ -175,6 +175,13 @@ class TestConfig:
         code, _, err = run(capsys, "eval", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2 and "cannot read" in err
 
+    def test_config_rate_replaces_standard_sets_in_verify(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r=0.07\n")
+        code, out, _ = run(capsys, "verify", "--scope", "theorem1", "--config", str(cfg))
+        assert code == 0
+        assert "r=0.07" in out and "r=-0.03" not in out
+
 
 def test_module_entry_point():
     proc = subprocess.run(

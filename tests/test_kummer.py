@@ -1,6 +1,7 @@
 """Truncated Kummer polynomial: frozen values, identities, and cross-checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,3 +156,32 @@ def test_against_scipy_hyp1f1():
                 reference = float(special.hyp1f1(-m, b, u))
                 assert kummer_truncated(m, b, u) == pytest.approx(
                     reference, rel=1e-10, abs=1e-10)
+
+
+def _exact_kummer(m, b, u):
+    # the same polynomial in exact rational arithmetic: coefficients from the
+    # term-ratio recurrence without rounding, evaluated at the exact float u
+    b, u = Fraction(b), Fraction(u)
+    coeff = total = power = Fraction(1)
+    for k in range(m):
+        coeff = coeff * (k - m) / ((b + k) * (k + 1))
+        power *= u
+        total += coeff * power
+    return total
+
+
+@pytest.mark.parametrize("max_m,u_lo,u_hi,bound", [
+    (20, -10.0, 0.0, 1e-15),
+    (6, -5.0, 5.0, 5e-14),
+    (20, -5.0, 5.0, 1e-10),
+])
+def test_against_exact_rational_evaluation(max_m, u_lo, u_hi, bound):
+    """The accuracy envelopes stated in the kummer module docstring."""
+    steps = int((u_hi - u_lo) / 0.25)
+    for m in range(max_m + 1):
+        for b in (0.5, 1.5):
+            for j in range(steps + 1):
+                u = u_lo + 0.25 * j
+                exact = _exact_kummer(m, b, u)
+                error = abs(Fraction(kummer_truncated(m, b, u)) - exact) / max(1, abs(exact))
+                assert error <= bound, (m, b, u, float(error))

@@ -145,6 +145,21 @@ class TestPartials:
             for exact, numeric in ((c_t, f_t), (c_s, f_s), (c_ss, f_ss)):
                 assert abs(exact - numeric) <= 1e-7 * max(1.0, abs(exact))
 
+    @pytest.mark.parametrize("params", [P, P_NEG])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_value_matches_eval_term(self, q, params):
+        # the value slot rounds like eval_term even where the Gaussian
+        # exponent is large (|u| up to 320 at |S| = 16)
+        for n in range(0, -14, -2):
+            for coeff in (1.0, -2.5, 0.3):
+                term = SolutionTerm(q, n, coeff)
+                for t in (0.0, 1.0):
+                    for k in range(-32, 33):
+                        S = k / 2.0
+                        value = eval_term(term, t, S, params)
+                        c = eval_term_partials(term, t, S, params)[0]
+                        assert abs(value - c) <= 1e-15 * abs(value), (term, t, S)
+
 
 class TestCombos:
     def test_single_term_combo_matches_term(self):
