@@ -11,10 +11,10 @@ problems, 3 domain violations (groups 4/5 out of range), 4 exponent
 overflow. Standard output carries only data; diagnostics go to standard
 error.
 
-A --config file holds flat key=value lines ('#' starts a comment) with the
-same keys as the long flags (r, sigma, t, S, expr, t-range, S-range, out,
-scope). Config values fill in flags that were not given on the command
-line; explicit flags always win.
+A --config file holds flat key=value lines ('#' starts a comment) whose
+keys are the long flags. Config values fill in flags that were not given
+on the command line; explicit flags always win. A flag's value may start
+with '-'.
 """
 
 from __future__ import annotations
@@ -26,15 +26,23 @@ from .errors import DomainError, InvalidParameter, ParseError, RangeError, Seman
 from .pde_verify import GridSpec
 from .solutions import ModelParams
 from .spec_lang import SolutionExpr, expression_function, format_expr, parse_expr, parse_group_element
-from .verification import SCOPES, run_scope
+from .verification import DEFAULT_PARAMS, SCOPES, run_scope
 
 __all__ = ["main"]
 
-DEFAULT_R = 0.05
-DEFAULT_SIGMA = 0.2
-
-_CONFIG_KEYS = ("r", "sigma", "t", "S", "expr", "t-range", "S-range", "out", "scope")
-_FLOAT_KEYS = ("r", "sigma", "t", "S")
+# Every long flag, once: its value type and help text. A config file takes
+# the same keys, converted with the same types.
+_FLAGS = {
+    "r": (float, "continuously compounded rate"),
+    "sigma": (float, "absolute volatility (> 0)"),
+    "t": (float, "evaluation time"),
+    "S": (float, "evaluation price"),
+    "expr": (str, "expression text, e.g. '2*C1[0] | G4(0.5)'"),
+    "t-range": (str, "time grid LO:HI:N"),
+    "S-range": (str, "price grid LO:HI:N"),
+    "out": (str, "write output to this path instead of stdout"),
+    "scope": (str, f"which suite to run: {', '.join(SCOPES)} (default: all)"),
+}
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -50,7 +58,7 @@ def load_config(path: str) -> dict[str, str]:
                     raise InvalidParameter(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _FLAGS:
                     raise InvalidParameter(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value.strip()
     except OSError as err:
@@ -64,65 +72,38 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate, tabulate, verify and transform closed-form "
                     "solutions of the Bachelier pricing PDE.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--r", type=float, default=None, help="continuously compounded rate")
-        p.add_argument("--sigma", type=float, default=None, help="absolute volatility (> 0)")
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
-    p_eval = sub.add_parser("eval", help="evaluate an expression at one point")
-    common(p_eval)
-    p_eval.add_argument("--expr", default=None, help="expression text, e.g. '2*C1[0] | G4(0.5)'")
-    p_eval.add_argument("--t", type=float, default=None, help="evaluation time")
-    p_eval.add_argument("--S", type=float, default=None, help="evaluation price")
-
-    p_table = sub.add_parser("table", help="emit a CSV surface over a grid")
-    common(p_table)
-    p_table.add_argument("--expr", default=None, help="expression text")
-    p_table.add_argument("--t-range", default=None, metavar="LO:HI:N", help="time grid")
-    p_table.add_argument("--S-range", default=None, metavar="LO:HI:N", help="price grid")
-
-    p_verify = sub.add_parser("verify", help="run a check suite")
-    common(p_verify)
-    p_verify.add_argument("--scope", default=None,
-                          choices=tuple(SCOPES),
-                          help="which suite to run (default: all)")
-
-    p_transform = sub.add_parser("transform", help="append a group element to an expression")
-    common(p_transform)
-    p_transform.add_argument("--expr", default=None, help="expression text")
-    p_transform.add_argument("group", help="group element to append, e.g. 'G6(0.2)'")
+    for name, (_, help_text, requires, others) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key=value config file")
+        for key in requires + others:
+            kind, flag_help = _FLAGS[key]
+            p.add_argument(f"--{key}", type=kind, help=flag_help)
+        if name == "transform":
+            p.add_argument("group", help="group element to append, e.g. 'G6(0.2)'")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the config file; a value left None was given nowhere."""
+    """Fill flags given nowhere (None) from the config file, then check the required ones."""
+    _, _, requires, others = _COMMANDS[args.command]
     if args.config is not None:
         for key, text in load_config(args.config).items():
             dest = key.replace("-", "_")
-            if not hasattr(args, dest) or getattr(args, dest) is not None:
+            if key not in requires + others or getattr(args, dest) is not None:
                 continue
-            if key in _FLOAT_KEYS:
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise InvalidParameter(f"config value for {key} is not a number: {text!r}")
-                setattr(args, dest, value)
-            else:
-                setattr(args, dest, text)
-
-
-def _require(args, *keys):
-    for key in keys:
-        if getattr(args, key.replace("-", "_"), None) is None:
+            kind = _FLAGS[key][0]
+            try:
+                setattr(args, dest, kind(text))
+            except ValueError:
+                raise InvalidParameter(f"config key {key}: invalid {kind.__name__} value {text!r}") from None
+    for key in requires:
+        if getattr(args, key.replace("-", "_")) is None:
             raise InvalidParameter(f"missing required value --{key}")
 
 
 def _params(args) -> ModelParams:
-    r = args.r if args.r is not None else DEFAULT_R
-    sigma = args.sigma if args.sigma is not None else DEFAULT_SIGMA
-    return ModelParams(r, sigma)
+    return ModelParams(DEFAULT_PARAMS.r if args.r is None else args.r,
+                       DEFAULT_PARAMS.sigma if args.sigma is None else args.sigma)
 
 
 def _emit(out_path, text: str):
@@ -145,7 +126,6 @@ def _parse_axis(label: str, text: str) -> tuple[float, float, int]:
 
 
 def _cmd_eval(args) -> int:
-    _require(args, "expr", "t", "S")
     expr = parse_expr(args.expr)
     value = expression_function(expr, _params(args))(args.t, args.S)
     _emit(args.out, f"{value:.17g}\n")
@@ -153,7 +133,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _require(args, "expr", "t-range", "S-range")
     expr = parse_expr(args.expr)
     t_lo, t_hi, nt = _parse_axis("t-range", args.t_range)
     s_lo, s_hi, ns = _parse_axis("S-range", args.S_range)
@@ -192,24 +171,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    _require(args, "expr")
     expr = parse_expr(args.expr)
     element = parse_group_element(args.group)
     _emit(args.out, format_expr(SolutionExpr(expr.combo, expr.pipeline + (element,))) + "\n")
     return 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "transform": _cmd_transform,
-}
+_COMMON = ("r", "sigma", "out")
 
-# numeric and range values routinely start with '-' (negative prices are the
-# model's selling point); glue them to their flag so argparse cannot mistake
-# them for option names
-_VALUE_FLAGS = {"--r", "--sigma", "--t", "--S", "--t-range", "--S-range"}
+# subcommand: handler, help, the flags it requires, the other flags it takes
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate an expression at one point", ("expr", "t", "S"), _COMMON),
+    "table": (_cmd_table, "emit a CSV surface over a grid", ("expr", "t-range", "S-range"), _COMMON),
+    "verify": (_cmd_verify, "run a check suite", (), ("scope",) + _COMMON),
+    "transform": (_cmd_transform, "append a group element to an expression", ("expr",), _COMMON),
+}
 
 
 def _glue_values(argv: list[str]) -> list[str]:
@@ -217,7 +193,10 @@ def _glue_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
+        # values routinely start with '-' (negative prices and coefficients
+        # are the model's selling point); glue them to their flag so
+        # argparse cannot mistake them for option names
+        if token.startswith("--") and token[2:] in _FLAGS and i + 1 < len(argv):
             out.append(f"{token}={argv[i + 1]}")
             i += 2
         else:
@@ -236,7 +215,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _merge_config(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ParseError, SemanticError, InvalidParameter) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

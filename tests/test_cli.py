@@ -1,12 +1,13 @@
 """Command line: outputs, exit codes, config precedence, determinism."""
 
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
-from bachelier_symmetries.cli import main
+from bachelier_symmetries.cli import _COMMANDS, _FLAGS, main
 from bachelier_symmetries.reference_forms import g4_family_from_linear
 from bachelier_symmetries.solutions import ModelParams
 
@@ -32,6 +33,11 @@ class TestEval:
     def test_negative_price_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "--expr", "C1[0]", "--t", "0", "--S", "-1.5")
         assert code == 0 and out == "-1.5\n"
+
+    def test_negative_leading_coefficient(self, capsys):
+        code, out, err = run(capsys, "eval", "--expr", "-2*C1[0]", "--t", "0", "--S", "1")
+        assert code == 0 and err == ""
+        assert out == "-2\n"
 
     def test_pipeline_matches_hand_coded_family(self, capsys):
         code, out, _ = run(capsys, "eval", "--expr", "C1[0] | G4(0.5)",
@@ -145,6 +151,10 @@ class TestTransform:
         code, out, _ = run(capsys, "transform", "--expr", "2*C1[0] | G1(0.5)", "G6(0.2)")
         assert code == 0 and out == "2*C1[0] | G1(0.5) | G6(0.2)\n"
 
+    def test_negative_leading_coefficient(self, capsys):
+        code, out, _ = run(capsys, "transform", "--expr", "-2*C1[0]", "G6(0.2)")
+        assert code == 0 and out == "-2*C1[0] | G6(0.2)\n"
+
     def test_bad_group_index(self, capsys):
         code, _, err = run(capsys, "transform", "--expr", "C1[0]", "G7(0.1)")
         assert code == 2 and "group index" in err
@@ -181,6 +191,46 @@ class TestConfig:
         code, out, _ = run(capsys, "verify", "--scope", "theorem1", "--config", str(cfg))
         assert code == 0
         assert "r=0.07" in out and "r=-0.03" not in out
+
+    # one file for every subcommand; each ignores the keys it does not take
+    SHARED = ("r=0.1\nt=1\nS=0\nexpr=C2[0]\nt-range=0:1:2\nS-range=-1:1:2\n"
+              "scope=groups\n")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ("--expr", "C2[0]", "--r", "0.1", "--t", "1", "--S", "0")),
+        ("table", ("--expr", "C2[0]", "--r", "0.1", "--t-range", "0:1:2", "--S-range", "-1:1:2")),
+        ("verify", ("--scope", "groups", "--r", "0.1")),
+    ])
+    def test_shared_config_matches_flags(self, capsys, tmp_path, command, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.SHARED)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 0 and err == ""
+        assert (code, out) == run(capsys, command, *flags)[:2]
+
+    def test_bad_number_names_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r=abc\n")
+        code, _, err = run(capsys, "eval", "--config", str(cfg),
+                           "--expr", "C1[0]", "--t", "0", "--S", "1")
+        assert code == 2 and re.search(r"\br\b", err) and "'abc'" in err
+
+    def test_unknown_scope_lists_scopes(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scope=everything\n")
+        code, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and "'everything'" in err
+        assert all(scope in err for scope in ("theorem1", "theorem2", "groups", "examples", "all"))
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_help_lists_the_table_flags(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    _, _, requires, others = _COMMANDS[command]
+    for key in _FLAGS:
+        assert (f"--{key} " in out) == (key in requires + others), key
+    assert "--config " in out
 
 
 def test_module_entry_point():

@@ -13,6 +13,7 @@ from bachelier_symmetries.spec_lang import (
     parse_group_element,
 )
 from bachelier_symmetries.symmetry import GroupElement, pullback_chain
+from bachelier_symmetries.verification import _BAD_SEMANTICS, _MALFORMED
 
 P = ModelParams(r=0.05, sigma=0.2)
 
@@ -58,21 +59,14 @@ class TestParsing:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("text", [
-        "", "C", "C1", "C1[", "C1[]", "C1[0", "C1(0)", "2C1[0]", "*C1[0]",
-        "C1[0] +", "C1[0] C2[0]", "C1[0] |", "C1[0] | G1(", "C1[0] | G1[0.1]",
-        "C1[0] | G1(0.1) junk", "1e*C1[0]", "C1[- 2]", "-C1[0]",
-    ])
+    @pytest.mark.parametrize("text", _MALFORMED)
     def test_malformed_raises_parse_error(self, text):
         with pytest.raises(ParseError) as info:
             parse_expr(text)
         assert isinstance(info.value.offset, int) and info.value.offset >= 0
         assert info.value.expected
 
-    @pytest.mark.parametrize("text", [
-        "C0[0]", "C5[0]", "C1[1]", "C1[-3]", "C1[2]",
-        "C1[0] | G0(0.1)", "C1[0] | G7(0.1)", "1e999*C1[0]",
-    ])
+    @pytest.mark.parametrize("text", _BAD_SEMANTICS)
     def test_out_of_range_raises_semantic_error(self, text):
         with pytest.raises(SemanticError) as info:
             parse_expr(text)
