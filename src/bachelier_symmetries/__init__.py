@@ -29,7 +29,6 @@ from .solutions import (
     ComboSolution,
     ModelParams,
     SolutionTerm,
-    eval_combo,
     eval_term,
     eval_term_partials,
     safe_exp,
@@ -95,7 +94,6 @@ __all__ = [
     "chain_function",
     "default_step",
     "derivative_richardson",
-    "eval_combo",
     "eval_term",
     "eval_term_partials",
     "expression_function",

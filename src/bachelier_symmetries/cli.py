@@ -2,14 +2,16 @@
 
 Subcommands
     eval       print an expression's value at one (t, S) point
-    table      emit a CSV price surface over a rectangular grid
+    table      emit a CSV price surface over a rectangular grid; a point
+               that raises a domain or range error gets an empty cell,
+               counted in the trailing '# skipped=N' line
     verify     run a named check suite and print one PASS/FAIL line per check
     transform  append a group element to an expression and print it back
 
 Exit codes: 0 success, 1 a verify check failed, 2 parse/semantic/usage
-problems, 3 domain violations (groups 4/5 out of range), 4 exponent
-overflow. Standard output carries only data; diagnostics go to standard
-error.
+problems (an unwritable --out path too), 3 domain violations (groups 4/5
+out of range), 4 exponent or value overflow. Standard output carries only
+data; diagnostics go to standard error.
 
 A --config file holds flat key=value lines ('#' starts a comment) whose
 keys are the long flags. Config values fill in flags that were not given
@@ -110,8 +112,11 @@ def _emit(out_path, text: str):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise InvalidParameter(f"cannot write {out_path}: {err}") from err
 
 
 def _parse_axis(label: str, text: str) -> tuple[float, float, int]:
@@ -144,7 +149,7 @@ def _cmd_table(args) -> int:
         for s in grid.S_points():
             try:
                 lines.append(f"{t!r},{s!r},{f(t, s)!r}")
-            except DomainError:
+            except (DomainError, RangeError):
                 lines.append(f"{t!r},{s!r},")
                 skipped += 1
     lines.append(f"# skipped={skipped}")

@@ -11,15 +11,18 @@ such terminating first arguments, so this module implements the polynomial
 case and nothing else; non-integer orders are rejected rather than
 approximated by a series.
 
-Evaluation goes through cached power-series coefficients and a Horner
-sweep. The coefficients are built with the term-ratio recurrence
+Evaluation is a Horner sweep over power-series coefficients held in one
+cache, keyed by (m, b, derivative order). The order-0 table is built with
+the term-ratio recurrence
 
     c_0 = 1,    c_{k+1} = c_k * (k - m) / ((b + k) (k + 1)),
 
-so no factorial-sized intermediates appear. The monomial Horner sweep
-loses digits to cancellation at positive u. Measured against exact
-rational evaluation of the same polynomial, with the error relative to
-max(1, |F|), b in {1/2, 3/2} and u on a 0.25 grid:
+so no factorial-sized intermediates appear, and m is validated when that
+table is built. The table of derivative order j differentiates that of
+order j - 1 once. The monomial Horner sweep loses digits to cancellation
+at positive u. Measured against exact rational evaluation of the same
+polynomial, with the error relative to max(1, |F|), b in {1/2, 3/2} and
+u on a 0.25 grid:
 
     m <= 20, u in [-10, 0]    8.1e-16
     m <= 6,  u in [-5, 5]     4.3e-14
@@ -60,8 +63,14 @@ def _checked_order(m) -> int:
     return int(m)
 
 
-@lru_cache(maxsize=None)
-def _series_coefficients(m: int, b: float) -> tuple[float, ...]:
+@lru_cache(maxsize=None, typed=True)
+def _coefficients(m, b: float, order: int) -> tuple[float, ...]:
+    # typed: True and 2.0 must not hit the entries of 1 and 2, so a bool
+    # order reaches _checked_order; a raised error is not cached
+    if order:
+        coeffs = _coefficients(m, b, order - 1)
+        return tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
+    m = _checked_order(m)
     coeffs = [1.0]
     for k in range(m):
         if b + k == 0.0:
@@ -69,14 +78,6 @@ def _series_coefficients(m: int, b: float) -> tuple[float, ...]:
                 f"(b)_{k + 1} vanishes for b = {b}; degree-{m} polynomial undefined")
         coeffs.append(coeffs[-1] * (k - m) / ((b + k) * (k + 1)))
     return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _derivative_coefficients(m: int, b: float, order: int) -> tuple[float, ...]:
-    coeffs = _series_coefficients(m, b)
-    for _ in range(order):
-        coeffs = tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
-    return coeffs
 
 
 def _horner(coeffs: tuple[float, ...], u: float) -> float:
@@ -92,14 +93,14 @@ def kummer_truncated(m: int, b: float, u: float) -> float:
     Raises InvalidParameter when m is not a non-negative integer, or when a
     denominator factor (b)_k vanishes for some k <= m.
     """
-    return _horner(_series_coefficients(_checked_order(m), b), u)
+    return _horner(_coefficients(m, b, 0), u)
 
 
 def kummer_truncated_du(m: int, b: float, u: float) -> float:
     """First u-derivative of ``kummer_truncated``, differentiated term by term."""
-    return _horner(_derivative_coefficients(_checked_order(m), b, 1), u)
+    return _horner(_coefficients(m, b, 1), u)
 
 
 def kummer_truncated_d2u(m: int, b: float, u: float) -> float:
     """Second u-derivative of ``kummer_truncated``; needed for price curvature."""
-    return _horner(_derivative_coefficients(_checked_order(m), b, 2), u)
+    return _horner(_coefficients(m, b, 2), u)

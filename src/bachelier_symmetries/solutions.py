@@ -16,8 +16,9 @@ damping factor e^{-u}, and an exponential carrier in t:
     q = 4:   e^{-u}   F(n/2, 1/2; u) e^{(2-n) r t}
 
 The equation is linear, so finite weighted sums of members are again
-solutions; `BaseCombo` and `eval_combo` realise those sums with exactly
-rounded summation so tabulated output is reproducible across platforms.
+solutions; `BaseCombo` holds such a sum and `ComboSolution` evaluates it
+and its partials with exactly rounded summation (math.fsum), so tabulated
+output is reproducible across platforms.
 
 Negative rates are allowed (u simply goes negative, which the polynomial
 factor absorbs). r = 0 is rejected at construction: two of the symmetry
@@ -43,8 +44,6 @@ __all__ = [
     "BaseCombo",
     "eval_term",
     "eval_term_partials",
-    "eval_combo",
-    "eval_combo_partials",
     "ComboSolution",
 ]
 
@@ -204,20 +203,6 @@ def eval_term_partials(
     return c, alpha * c, carrier * fac[1], carrier * fac[2]
 
 
-def eval_combo(combo: BaseCombo, t: float, S: float, params: ModelParams) -> float:
-    """Weighted sum over the combination's terms, summed with math.fsum."""
-    return math.fsum(eval_term(term, t, S, params) for term in combo.terms)
-
-
-def eval_combo_partials(
-    combo: BaseCombo, t: float, S: float, params: ModelParams
-) -> tuple[float, float, float, float]:
-    """Componentwise math.fsum of the member partials."""
-    rows = [eval_term_partials(term, t, S, params) for term in combo.terms]
-    c, c_t, c_s, c_ss = (math.fsum(row[i] for row in rows) for i in range(4))
-    return c, c_t, c_s, c_ss
-
-
 class ComboSolution:
     """A base combination bound to market parameters, usable as a plain callable.
 
@@ -236,7 +221,8 @@ class ComboSolution:
         self.params = params
 
     def __call__(self, t: float, S: float) -> float:
-        return eval_combo(self.combo, t, S, self.params)
+        return math.fsum(eval_term(term, t, S, self.params) for term in self.combo.terms)
 
     def partials(self, t: float, S: float) -> tuple[float, float, float, float]:
-        return eval_combo_partials(self.combo, t, S, self.params)
+        rows = [eval_term_partials(term, t, S, self.params) for term in self.combo.terms]
+        return tuple(map(math.fsum, zip(*rows)))

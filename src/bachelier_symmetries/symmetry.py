@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, NamedTuple
 
-from .errors import DomainError, InvalidParameter
+from .errors import DomainError, InvalidParameter, RangeError
 from .solutions import (
     ModelParams,
     SolutionTerm,
@@ -242,6 +242,13 @@ def _pull_back(stages, t, S, params):
     return t, S, records
 
 
+def _finite(values, t, S):
+    if not all(map(math.isfinite, values)):
+        raise RangeError(f"pipeline result at (t, S) = ({t!r}, {S!r}) is not finite: "
+                         + ", ".join(map(repr, values)))
+    return values
+
+
 def pullback_chain(
     pipeline: Sequence[GroupElement],
     f: Callable[[float, float], float],
@@ -255,13 +262,14 @@ def pullback_chain(
     each stage's record k read at -eps, since e^{k_eps(t0, S0)} =
     e^{-k_{-eps}(t', S')}. An empty pipeline evaluates f itself. A
     DomainError raised while inverting some stage carries that stage's
-    zero-based index.
+    zero-based index. Stage factors that pass the exponent guard one by one
+    can still overflow together; a non-finite value raises RangeError.
     """
     t0, S0, records = _pull_back(tuple(pipeline), t, S, params)
     value = f(t0, S0)
     for record in reversed(records):
         value *= safe_exp(-record[2])
-    return value
+    return _finite((value,), t, S)[0]
 
 
 class _Transported:
@@ -270,7 +278,8 @@ class _Transported:
     Calls evaluate ``pullback_chain``. ``partials(t, S)`` returns exact
     (C, C_t, C_S, C_SS): the base's partials at the pre-image, carried
     through each stage by the chain rule on its record. It needs a base
-    that has ``partials`` itself and raises InvalidParameter otherwise.
+    that has ``partials`` itself and raises InvalidParameter otherwise, and
+    like ``pullback_chain`` it raises RangeError on a non-finite result.
     """
 
     __slots__ = ("stages", "base", "params")
@@ -300,7 +309,7 @@ class _Transported:
                 E * (A * c_s - k_S * c),
                 E * (A * A * c_ss - 2.0 * k_S * A * c_s + (k_S * k_S - k_SS) * c),
             )
-        return (c, c_t, c_s, c_ss)
+        return _finite((c, c_t, c_s, c_ss), t, S)
 
 
 def chain_function(

@@ -66,6 +66,21 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--expr", "C2[0]", "--t", "1e9", "--S", "0")
         assert code == 4 and "range" in err.lower()
 
+    def test_stacked_stage_overflow_exit(self, capsys):
+        # each G6(400) stage passes the exponent guard; together they overflow
+        code, out, err = run(capsys, "eval", "--expr", "C1[0] | G6(400) | G6(400)",
+                             "--t", "0", "--S", "1")
+        assert code == 4 and out == ""
+        assert err.startswith("range error:") and "not finite" in err
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "nodir" / "x.txt"
+        code, out, err = run(capsys, "eval", "--expr", "C1[0]", "--t", "0", "--S", "1",
+                             "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+        assert not target.parent.exists()
+
 
 class TestTable:
     def test_two_by_two(self, capsys):
@@ -106,6 +121,23 @@ class TestTable:
         assert all(line.startswith("0.0,") for line in empties)
         filled = [line for line in lines[1:-1] if not line.endswith(",")]
         assert len(filled) == 3 and all(line.startswith("1.0,") for line in filled)
+
+    @pytest.mark.parametrize("expr, skipped", [
+        ("-1.5*C1[-2] | G4(1.05)", 912),
+        ("-1.5*C3[-2] | G4(1.05)", 914),
+    ])
+    def test_range_failures_leave_empty_cells(self, capsys, expr, skipped):
+        # near the G4 domain boundary some points raise RangeError (an
+        # exponent past the guard) besides the DomainError points; both
+        # leave an empty cell and neither aborts the table
+        code, out, _ = run(capsys, "table", "--expr", expr,
+                           "--t-range", "0:1:41", "--S-range", "-3:3:41")
+        assert code == 0
+        lines = out.splitlines()
+        rows = lines[1:-1]
+        assert lines[0] == "t,S,C" and len(rows) == 41 * 41
+        empties = sum(line.endswith(",") for line in rows)
+        assert lines[-1] == f"# skipped={empties}" and empties == skipped
 
     def test_bad_range_spec(self, capsys):
         code, _, err = run(capsys, "table", "--expr", "C1[0]",

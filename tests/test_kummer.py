@@ -147,6 +147,23 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             kummer_truncated(-1, 0.5, 1.0)
 
+    @pytest.mark.parametrize("fn", [kummer_truncated, kummer_truncated_du, kummer_truncated_d2u])
+    def test_bool_order_rejected_after_integer_cached(self, fn):
+        # True == 1 and hashes like it; the coefficient cache must not
+        # hand it the tables of order 1
+        for g in (kummer_truncated, kummer_truncated_du, kummer_truncated_d2u):
+            g(1, 0.5, 1.0)
+        with pytest.raises(InvalidParameter):
+            fn(True, 0.5, 1.0)
+
+    def test_integral_float_order_accepted(self):
+        assert kummer_truncated(2.0, 0.5, 0.7) == kummer_truncated(2, 0.5, 0.7)
+
+    def test_rejected_order_raises_again(self):
+        for _ in range(2):
+            with pytest.raises(InvalidParameter):
+                kummer_truncated(1.5, 0.5, 1.0)
+
 
 def test_against_scipy_hyp1f1():
     special = pytest.importorskip("scipy.special")

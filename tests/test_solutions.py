@@ -11,7 +11,6 @@ from bachelier_symmetries.solutions import (
     ComboSolution,
     ModelParams,
     SolutionTerm,
-    eval_combo,
     eval_term,
     eval_term_partials,
 )
@@ -165,11 +164,11 @@ class TestCombos:
     def test_single_term_combo_matches_term(self):
         term = SolutionTerm(3, -4, 2.5)
         combo = BaseCombo((term,))
-        assert eval_combo(combo, 0.4, 1.3, P) == eval_term(term, 0.4, 1.3, P)
+        assert ComboSolution(combo, P)(0.4, 1.3) == eval_term(term, 0.4, 1.3, P)
 
     def test_worked_combo_at_origin(self):
         # S-prefixed members vanish, carriers are 1: 1 + 3 + 7 + 9 = 20
-        assert eval_combo(worked_combo(), 0.0, 0.0, P) == pytest.approx(20.0, rel=1e-15)
+        assert ComboSolution(worked_combo(), P)(0.0, 0.0) == pytest.approx(20.0, rel=1e-15)
 
     @given(st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
     @settings(max_examples=60)
@@ -178,8 +177,8 @@ class TestCombos:
         scaled = BaseCombo(tuple(
             SolutionTerm(term.class_q, term.order_n, alpha * term.coeff)
             for term in combo.terms))
-        base = eval_combo(combo, 0.6, -0.8, P)
-        assert eval_combo(scaled, 0.6, -0.8, P) == pytest.approx(
+        base = ComboSolution(combo, P)(0.6, -0.8)
+        assert ComboSolution(scaled, P)(0.6, -0.8) == pytest.approx(
             alpha * base, rel=1e-13, abs=1e-12)
 
     def test_combo_solution_is_callable_with_partials(self):

@@ -177,6 +177,20 @@ class TestPullback:
         with pytest.raises(RangeError):
             pullback(GroupElement(4, 1.05), self.linear, 0.5, 1.0, P)
 
+    def test_stacked_stage_overflow_raises(self):
+        # each stage's factor e^400 passes the exponent guard, their
+        # product does not fit a float
+        pipeline = (GroupElement(6, 400.0), GroupElement(6, 400.0))
+        with pytest.raises(RangeError, match="not finite"):
+            pullback_chain(pipeline, self.linear, 0.0, 1.0, P)
+        f = chain_function(pipeline, self.linear, P)
+        with pytest.raises(RangeError, match="not finite"):
+            f(0.0, 1.0)
+        with pytest.raises(RangeError, match="not finite"):
+            f.partials(0.0, 1.0)
+        # one stage alone stays finite
+        assert math.isfinite(pullback_chain(pipeline[:1], self.linear, 0.0, 1.0, P))
+
 
 def _central_partials(f, t, S):
     """C_t, C_S, C_SS of f from Richardson-improved central differences."""
