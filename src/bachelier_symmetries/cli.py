@@ -10,8 +10,9 @@ Subcommands
 
 Exit codes: 0 success, 1 a verify check failed, 2 parse/semantic/usage
 problems (an unwritable --out path too), 3 domain violations (groups 4/5
-out of range), 4 exponent or value overflow. Standard output carries only
-data; diagnostics go to standard error.
+out of range), 4 a value outside the float range (an exponent past the
+guard, a squared price or a result that overflows). Standard output
+carries only data; diagnostics go to standard error.
 
 A --config file holds flat key=value lines ('#' starts a comment) whose
 keys are the long flags. Config values fill in flags that were not given
@@ -22,6 +23,7 @@ with '-'.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import DomainError, InvalidParameter, ParseError, RangeError, SemanticError
@@ -68,6 +70,7 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
+@functools.cache  # parsing never mutates the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bachsym",
@@ -227,7 +230,7 @@ def main(argv=None) -> int:
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return 3
-    except (RangeError, OverflowError) as err:
+    except RangeError as err:
         print(f"range error: {err}", file=sys.stderr)
         return 4
 

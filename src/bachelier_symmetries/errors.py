@@ -10,19 +10,23 @@ class InvalidParameter(ValueError):
 class DomainError(ValueError):
     """A group map or transformed solution was evaluated outside its domain.
 
-    ``argument`` carries the offending log/sqrt argument when known;
-    ``stage`` carries the zero-based pipeline index when the error happened
-    inside a transform chain.
+    The message names the offending log/sqrt argument. ``stage`` carries
+    the zero-based pipeline index when the error happened while pulling a
+    point back through group elements (a single ``inverse_point_map`` is
+    stage 0).
     """
 
-    def __init__(self, message: str, argument: float | None = None, stage: int | None = None):
+    def __init__(self, message: str, stage: int | None = None):
         super().__init__(message)
-        self.argument = argument
         self.stage = stage
 
 
 class RangeError(ArithmeticError):
-    """An exponent passed the overflow guard (|x| > 700) during evaluation."""
+    """A value left the float range during evaluation.
+
+    An exponent passed the +/-700 guard, a squared price (S / sigma)^2
+    overflowed, or a combination or pipeline result is not finite.
+    """
 
 
 class ParseError(ValueError):

@@ -15,19 +15,22 @@ those exact partials.
 Residuals are reported normalised by the largest magnitude among the four
 PDE terms, floored at 1, so solutions passing through zero are still
 checked meaningfully and a true solution scores ~1e-15 regardless of its
-overall scale.
+overall scale. A scan reports the largest normalised residual and where it
+occurred; a NaN residual is the largest, so no tolerance passes it. Finite
+differences take one fixed step per coordinate, ``default_step``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, InvalidParameter
-from .solutions import EvalPoint, ModelParams
+from .solutions import ModelParams
 
 __all__ = [
+    "EvalPoint",
     "GridSpec",
     "ResidualReport",
     "default_step",
@@ -36,6 +39,13 @@ __all__ = [
     "residual_fd",
     "residual_scan",
 ]
+
+
+class EvalPoint(NamedTuple):
+    """A (time, price) point. Prices may be negative; that is the model's point."""
+
+    t: float
+    S: float
 
 
 @dataclass(frozen=True)
@@ -74,26 +84,25 @@ class ResidualReport:
 
     ``failures`` counts grid points skipped because the function (or its
     finite-difference stencil) left its domain; ``evaluated`` counts the
-    rest. Statistics cover evaluated points only.
+    rest. ``max_normalized`` and ``worst_point`` cover evaluated points
+    only; a NaN residual counts as the worst point, so it fails every
+    tolerance.
     """
 
-    grid: GridSpec
     max_normalized: float
-    mean_normalized: float
     worst_point: EvalPoint | None
     failures: int
     evaluated: int
 
 
 def default_step(x: float) -> float:
-    """Default finite-difference step: 1e-3 scaled by max(1, |x|)."""
+    """The finite-difference step at x: 1e-3 scaled by max(1, |x|)."""
     return 1e-3 * max(1.0, abs(x))
 
 
-def derivative_richardson(func: Callable[[float], float], x: float, h: float | None = None) -> float:
-    """d/dx func at x: second-order central difference plus one Richardson step."""
-    if h is None:
-        h = default_step(x)
+def derivative_richardson(func: Callable[[float], float], x: float) -> float:
+    """d/dx func at x: central difference at step default_step(x), one Richardson step."""
+    h = default_step(x)
     coarse = (func(x + h) - func(x - h)) / (2.0 * h)
     fine = (func(x + 0.5 * h) - func(x - 0.5 * h)) / h
     return (4.0 * fine - coarse) / 3.0
@@ -117,27 +126,19 @@ def residual_from_partials(
 
 
 def residual_fd(
-    f: Callable[[float, float], float],
-    t: float,
-    S: float,
-    params: ModelParams,
-    h_t: float | None = None,
-    h_S: float | None = None,
+    f: Callable[[float, float], float], t: float, S: float, params: ModelParams
 ) -> tuple[float, float]:
     """Raw and normalised residual with finite-difference partials.
 
     Uses a 9-point stencil: the centre, t +/- h_t, t +/- h_t/2, S +/- h_S
-    and S +/- h_S/2. Each derivative is a second-order central difference
-    improved by one Richardson halving step. A DomainError raised by f at
-    any stencil point propagates; no one-sided fallback is attempted, so
-    the advertised order holds wherever a value is returned at all.
+    and S +/- h_S/2, with h_t = default_step(t) and h_S = default_step(S).
+    Each derivative is a second-order central difference improved by one
+    Richardson halving step. A DomainError raised by f at any stencil point
+    propagates; no one-sided fallback is attempted, so the advertised order
+    holds wherever a value is returned at all.
     """
-    if h_t is None:
-        h_t = default_step(t)
-    if h_S is None:
-        h_S = default_step(S)
-    if h_t <= 0.0 or h_S <= 0.0:
-        raise InvalidParameter("finite-difference steps must be positive")
+    h_t = default_step(t)
+    h_S = default_step(S)
     centre = f(t, S)
     tp, tm = f(t + h_t, S), f(t - h_t, S)
     tp2, tm2 = f(t + 0.5 * h_t, S), f(t - 0.5 * h_t, S)
@@ -165,10 +166,11 @@ def residual_scan(
     works on any callable. Points where the evaluation raises DomainError
     are skipped and counted as failures.
 
-    The scan is a deterministic row-major sweep (t outer, S inner) with
-    exactly rounded mean accumulation, so reports are reproducible; f may
-    also be evaluated concurrently by callers, every function in this
-    package is safe for that, but this scanner itself stays sequential.
+    The scan is a deterministic row-major sweep (t outer, S inner), so
+    reports are reproducible; f may also be evaluated concurrently by
+    callers, every function in this package is safe for that, but this
+    scanner itself stays sequential. The worst point is the first one with
+    the largest residual, or the first with a NaN residual.
     """
     if mode not in ("analytic", "fd"):
         raise InvalidParameter(f"mode must be 'analytic' or 'fd', got {mode!r}")
@@ -178,7 +180,6 @@ def residual_scan(
             "scan other callables with mode='fd'")
     worst = -1.0
     worst_point = None
-    normalized_values = []
     failures = 0
     for t in grid.t_points():
         for S in grid.S_points():
@@ -191,16 +192,14 @@ def residual_scan(
             except DomainError:
                 failures += 1
                 continue
-            normalized_values.append(normalized)
-            if normalized > worst:
+            # NaN compares false: it takes the place of a number, never
+            # gives it up, and a later NaN does not move it
+            if normalized > worst or (normalized != normalized and worst == worst):
                 worst = normalized
                 worst_point = EvalPoint(t, S)
-    evaluated = len(normalized_values)
-    mean = math.fsum(normalized_values) / evaluated if evaluated else 0.0
+    evaluated = grid.nt * grid.nS - failures
     return ResidualReport(
-        grid=grid,
         max_normalized=worst if evaluated else 0.0,
-        mean_normalized=mean,
         worst_point=worst_point,
         failures=failures,
         evaluated=evaluated,

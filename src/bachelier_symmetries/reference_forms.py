@@ -53,7 +53,7 @@ def g4_family_from_linear(t: float, S: float, eps: float, params: ModelParams) -
     r, sigma = params.r, params.sigma
     w = math.exp(2.0 * r * t) + eps
     if w <= 0.0:
-        raise DomainError(f"family undefined: e^(2rt) + eps = {w:.6g}", argument=w)
+        raise DomainError(f"family undefined: e^(2rt) + eps = {w:.6g}")
     exponent = r * (3.0 * sigma**2 * t * w - eps * S**2) / (sigma**2 * w)
     return math.exp(exponent) * S / w**1.5
 
@@ -68,7 +68,7 @@ def g5_family_from_gaussian_term(t: float, S: float, eps: float, params: ModelPa
     r, sigma = params.r, params.sigma
     v = math.exp(-2.0 * r * t) + eps
     if v <= 0.0:
-        raise DomainError(f"family undefined: e^(-2rt) + eps = {v:.6g}", argument=v)
+        raise DomainError(f"family undefined: e^(-2rt) + eps = {v:.6g}")
     d = 1.0 + math.exp(2.0 * r * t) * eps
     exponent = r * (5.0 * t - S**2 / (sigma**2 * d))
     return math.exp(exponent) * math.sqrt(v) * (-2.0 * r * S**2 + sigma**2 * d) / (sigma**2 * d**3)

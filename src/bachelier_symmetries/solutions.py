@@ -18,7 +18,9 @@ damping factor e^{-u}, and an exponential carrier in t:
 The equation is linear, so finite weighted sums of members are again
 solutions; `BaseCombo` holds such a sum and `ComboSolution` evaluates it
 and its partials with exactly rounded summation (math.fsum), so tabulated
-output is reproducible across platforms.
+output is reproducible across platforms. A value or partial that leaves the
+float range (a squared price that overflows, an exponent past the guard, a
+non-finite sum) raises RangeError; no inf or NaN is returned.
 
 Negative rates are allowed (u simply goes negative, which the polynomial
 factor absorbs). r = 0 is rejected at construction: two of the symmetry
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import InvalidParameter, RangeError
 from .kummer import kummer_truncated, kummer_truncated_du, kummer_truncated_d2u
@@ -39,7 +40,6 @@ __all__ = [
     "EXP_GUARD",
     "safe_exp",
     "ModelParams",
-    "EvalPoint",
     "SolutionTerm",
     "BaseCombo",
     "eval_term",
@@ -71,8 +71,9 @@ def _require_finite(name: str, value) -> float:
 class ModelParams:
     """Market constants: continuously compounded rate r, absolute volatility sigma.
 
-    sigma must be positive. r may be negative (the regime the model is used
-    for) but not zero, see the module docstring.
+    sigma must be positive, and sigma^2 a nonzero finite float, since the
+    families and the PDE divide by it. r may be negative (the regime the
+    model is used for) but not zero, see the module docstring.
     """
 
     r: float
@@ -81,19 +82,13 @@ class ModelParams:
     def __post_init__(self):
         r = _require_finite("r", self.r)
         sigma = _require_finite("sigma", self.sigma)
-        if sigma <= 0.0:
-            raise InvalidParameter(f"sigma must be positive, got {sigma}")
+        if sigma <= 0.0 or not 0.0 < sigma * sigma < math.inf:
+            raise InvalidParameter(
+                f"sigma must be positive with a nonzero finite square, got {sigma}")
         if r == 0.0:
             raise InvalidParameter("r = 0 is not supported (symmetry groups divide by r)")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "sigma", sigma)
-
-
-class EvalPoint(NamedTuple):
-    """A (time, price) point. Prices may be negative; that is the model's point."""
-
-    t: float
-    S: float
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,10 @@ def eval_term(term: SolutionTerm, t: float, S: float, params: ModelParams) -> fl
     """Value of coeff * C_{q,n}(t, S)."""
     b, sgn, with_price, with_gauss, na, nb = _CLASS_TABLE[term.class_q]
     r = params.r
-    u = r * (S / params.sigma) ** 2
+    try:
+        u = r * (S / params.sigma) ** 2
+    except OverflowError:
+        raise RangeError(f"(S / sigma)^2 overflows at S = {S!r}") from None
     value = kummer_truncated(term.degree, b, sgn * u)
     if with_price:
         value *= S
@@ -182,7 +180,10 @@ def eval_term_partials(
     """
     b, sgn, with_price, with_gauss, na, nb = _CLASS_TABLE[term.class_q]
     r, sigma = params.r, params.sigma
-    u = r * (S / sigma) ** 2
+    try:
+        u = r * (S / sigma) ** 2
+    except OverflowError:
+        raise RangeError(f"(S / sigma)^2 overflows at S = {S!r}") from None
     du = 2.0 * r * S / sigma**2
     d2u = 2.0 * r / sigma**2
     v = sgn * u
@@ -221,8 +222,24 @@ class ComboSolution:
         self.params = params
 
     def __call__(self, t: float, S: float) -> float:
-        return math.fsum(eval_term(term, t, S, self.params) for term in self.combo.terms)
+        values = [eval_term(term, t, S, self.params) for term in self.combo.terms]
+        try:
+            value = math.fsum(values)
+        except (OverflowError, ValueError):  # the sum overflows, or inf - inf
+            value = math.nan
+        if not math.isfinite(value):
+            raise RangeError(f"combination value at (t, S) = ({t!r}, {S!r}) is not finite")
+        return value
 
     def partials(self, t: float, S: float) -> tuple[float, float, float, float]:
         rows = [eval_term_partials(term, t, S, self.params) for term in self.combo.terms]
-        return tuple(map(math.fsum, zip(*rows)))
+        try:
+            sums = tuple(map(math.fsum, zip(*rows)))
+        except (OverflowError, ValueError):
+            sums = (math.nan,) * 4
+        c, c_t, c_s, c_ss = sums
+        isfinite = math.isfinite
+        if not (isfinite(c) and isfinite(c_t) and isfinite(c_s) and isfinite(c_ss)):
+            raise RangeError(f"combination partials at (t, S) = ({t!r}, {S!r}) are not finite: "
+                             + ", ".join(map(repr, sums)))
+        return sums

@@ -20,11 +20,11 @@ has the form t' = T(t), S' = A(t) S + B(t), C' = e^{k(t, S)} C, so its second
 prolongation (Olver, Applications of Lie Groups to Differential Equations,
 GTM 107, ch. 2) carries (C, C_t, C_S, C_SS) with no C_tt or C_tS needed, and
 its inverse is the same map at -eps. `forward_map` reads the record at eps;
-`inverse_point_map` reads it at -eps. The records use the conventional
-closed forms, in which the parameter of G_4 and G_5 runs along the flow of
--xi_4 and -xi_5; FLOW_ORIENTATION records the sign per group so tangency
-checks can tie the finite maps to the hand-written vector fields of
-`generator_eval`.
+`inverse_point_map` is the one-stage case of the pipeline walk below. The
+records use the conventional closed forms, in which the parameter of G_4
+and G_5 runs along the flow of -xi_4 and -xi_5; FLOW_ORIENTATION records the
+sign per group so tangency checks can tie the finite maps to the
+hand-written vector fields of `generator_eval`.
 
 A group element maps solution graphs to solution graphs. `pullback_chain`
 materialises the mapped graph as a function again: it walks the point back
@@ -35,7 +35,8 @@ that into a callable whose `partials` apply the chain rule to the same
 records, so transported solutions have exact partials. G_4 and G_5 involve a
 logarithm and a square root, so both directions carry per-point domain
 conditions; there is no global admissible parameter range, the check
-happens at each evaluation.
+happens at each evaluation. A failed pre-image raises DomainError with the
+pipeline stage it failed at and the message prefix "pipeline stage i: ".
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def _g4(t, S, eps, params):
     w = grow + eps
     if w <= 0.0:
         raise DomainError(
-            f"G4 needs e^(2rt) + eps > 0; got {w:.6g} at t = {t!r}, eps = {eps!r}", argument=w)
+            f"G4 needs e^(2rt) + eps > 0; got {w:.6g} at t = {t!r}, eps = {eps!r}")
     log_w = math.log(w)
     A = safe_exp(r * t) / math.sqrt(w)
     k_S = 2.0 * r * eps * S / (sigma2 * w)
@@ -150,7 +151,7 @@ def _g5(t, S, eps, params):
     v = shrink + eps
     if v <= 0.0:
         raise DomainError(
-            f"G5 needs e^(-2rt) + eps > 0; got {v:.6g} at t = {t!r}, eps = {eps!r}", argument=v)
+            f"G5 needs e^(-2rt) + eps > 0; got {v:.6g} at t = {t!r}, eps = {eps!r}")
     log_v = math.log(v)
     A = safe_exp(-r * t) / math.sqrt(v)
     return (-log_v / (2.0 * r), A * S, -r * t - 0.5 * log_v,
@@ -179,28 +180,16 @@ def forward_map(g: GroupElement, jp: JetPoint, params: ModelParams) -> JetPoint:
     return JetPoint(image_t, image_S, C * safe_exp(k))
 
 
-def _no_pre_image(g: GroupElement, err: DomainError, stage: int | None = None) -> DomainError:
-    where = "" if stage is None else f"pipeline stage {stage}: "
-    return DomainError(f"{where}no pre-image under G{g.gen_index}({g.epsilon!r}): {err}",
-                       argument=err.argument, stage=stage)
-
-
 def inverse_point_map(
     g: GroupElement, target_t: float, target_S: float, params: ModelParams
 ) -> tuple[float, float]:
     """The unique (t0, S0) whose image under ``forward_map`` has the target point part.
 
-    G_i(eps) is inverted by G_i(-eps). Raises DomainError when the
-    pre-image does not exist (log/sqrt domain of groups 4 and 5).
+    G_i(eps) is inverted by G_i(-eps): this is the pipeline walk of
+    ``pullback_chain`` over the one stage g. Raises DomainError, with stage
+    0, when the pre-image does not exist (log/sqrt domain of groups 4 and 5).
     """
-    eps = g.epsilon
-    if eps == 0.0:
-        return (target_t, target_S)
-    try:
-        record = _RECORDS[g.gen_index - 1](target_t, target_S, -eps, params)
-    except DomainError as err:
-        raise _no_pre_image(g, err) from err
-    return (record[0], record[1])
+    return _pull_back((g,), target_t, target_S, params)[:2]
 
 
 def pullback(
@@ -236,7 +225,8 @@ def _pull_back(stages, t, S, params):
         try:
             record = _RECORDS[g.gen_index - 1](t, S, -g.epsilon, params)
         except DomainError as err:
-            raise _no_pre_image(g, err, idx) from err
+            raise DomainError(f"pipeline stage {idx}: no pre-image under "
+                              f"G{g.gen_index}({g.epsilon!r}): {err}", stage=idx) from err
         t, S = record[0], record[1]
         records.append(record)
     return t, S, records

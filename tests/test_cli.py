@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bachelier_symmetries.cli import _COMMANDS, _FLAGS, main
+from bachelier_symmetries.cli import _COMMANDS, _FLAGS, _build_parser, main
 from bachelier_symmetries.reference_forms import g4_family_from_linear
 from bachelier_symmetries.solutions import ModelParams
 
@@ -70,6 +70,12 @@ class TestEval:
         # each G6(400) stage passes the exponent guard; together they overflow
         code, out, err = run(capsys, "eval", "--expr", "C1[0] | G6(400) | G6(400)",
                              "--t", "0", "--S", "1")
+        assert code == 4 and out == ""
+        assert err.startswith("range error:") and "not finite" in err
+
+    def test_non_finite_combination_exit(self, capsys):
+        # the term's exponent (695) passes the guard, the weighted value is inf
+        code, out, err = run(capsys, "eval", "--expr", "1e10*C2[0]", "--t", "13900", "--S", "0")
         assert code == 4 and out == ""
         assert err.startswith("range error:") and "not finite" in err
 
@@ -138,6 +144,15 @@ class TestTable:
         assert lines[0] == "t,S,C" and len(rows) == 41 * 41
         empties = sum(line.endswith(",") for line in rows)
         assert lines[-1] == f"# skipped={empties}" and empties == skipped
+
+    def test_squared_price_overflow_leaves_empty_cells(self, capsys):
+        # (S / sigma)^2 overflows for S = 5e159 and 1e160, not for 1e150
+        code, out, _ = run(capsys, "table", "--expr", "C1[0]",
+                           "--t-range", "0:1:2", "--S-range", "1e150:1e160:3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "# skipped=4"
+        assert [line.endswith(",") for line in lines[1:-1]] == [False, True, True] * 2
 
     def test_bad_range_spec(self, capsys):
         code, _, err = run(capsys, "table", "--expr", "C1[0]",
@@ -263,6 +278,18 @@ def test_help_lists_the_table_flags(capsys, command):
     for key in _FLAGS:
         assert (f"--{key} " in out) == (key in requires + others), key
     assert "--config " in out
+
+
+def test_one_parser_serves_separate_calls(capsys):
+    assert _build_parser() is _build_parser()
+    # C2[0] = e^{rt}: a flag given to one call must not carry over to the next
+    _, with_rate, _ = run(capsys, "eval", "--expr", "C2[0]", "--r", "0.07", "--t", "1", "--S", "0")
+    code, table, _ = run(capsys, "table", "--expr", "C2[0]",
+                         "--t-range", "1:2:2", "--S-range", "0:1:2")
+    _, default_rate, _ = run(capsys, "eval", "--expr", "C2[0]", "--t", "1", "--S", "0")
+    assert float(with_rate) == math.exp(0.07)
+    assert code == 0 and table.splitlines()[1] == f"1.0,0.0,{math.exp(0.05)!r}"
+    assert float(default_rate) == math.exp(0.05)
 
 
 def test_module_entry_point():

@@ -13,7 +13,7 @@ from bachelier_symmetries.kummer import (
     kummer_truncated_du,
     pochhammer,
 )
-from bachelier_symmetries.pde_verify import default_step, derivative_richardson
+from bachelier_symmetries.pde_verify import derivative_richardson
 
 U_GRID = [-10.0, -6.0, -3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0, 6.0, 10.0]
 
@@ -70,8 +70,7 @@ class TestDerivative:
     @pytest.mark.parametrize("b", [0.5, 1.5])
     def test_matches_finite_differences(self, m, b):
         for u in U_GRID:
-            numeric = derivative_richardson(
-                lambda x: kummer_truncated(m, b, x), u, default_step(u))
+            numeric = derivative_richardson(lambda x: kummer_truncated(m, b, x), u)
             exact = kummer_truncated_du(m, b, u)
             assert abs(numeric - exact) <= 1e-8 * max(1.0, abs(exact))
 
@@ -92,8 +91,7 @@ class TestDerivative:
     @pytest.mark.parametrize("m", range(2, 9))
     def test_second_derivative_consistent(self, m):
         for u in (-3.0, -0.5, 0.4, 2.0):
-            numeric = derivative_richardson(
-                lambda x: kummer_truncated_du(m, 1.5, x), u, default_step(u))
+            numeric = derivative_richardson(lambda x: kummer_truncated_du(m, 1.5, x), u)
             exact = kummer_truncated_d2u(m, 1.5, u)
             assert abs(numeric - exact) <= 1e-7 * max(1.0, abs(exact))
 
@@ -202,3 +200,26 @@ def test_against_exact_rational_evaluation(max_m, u_lo, u_hi, bound):
                 exact = _exact_kummer(m, b, u)
                 error = abs(Fraction(kummer_truncated(m, b, u)) - exact) / max(1, abs(exact))
                 assert error <= bound, (m, b, u, float(error))
+
+
+def _exact_partials(m, b, u):
+    # (F, F', F'') of the same polynomial in exact rational arithmetic
+    b, u = Fraction(b), Fraction(u)
+    coeffs = [Fraction(1)]
+    for k in range(m):
+        coeffs.append(coeffs[-1] * (k - m) / ((b + k) * (k + 1)))
+    return tuple(sum(c * math.perm(k, j) * u ** (k - j) for k, c in enumerate(coeffs) if k >= j)
+                 for j in range(3))
+
+
+@pytest.mark.parametrize("order,fn", enumerate(
+    [kummer_truncated, kummer_truncated_du, kummer_truncated_d2u]))
+def test_positive_argument_against_exact_rational_evaluation(order, fn):
+    """The m <= 20, u in [0, 20] row of the kummer module docstring."""
+    for m in range(21):
+        for b in (0.5, 1.5):
+            for j in range(41):
+                u = 0.5 * j
+                exact = _exact_partials(m, b, u)[order]
+                error = abs(Fraction(fn(m, b, u)) - exact) / max(1, abs(exact))
+                assert error <= 1e-12, (m, b, u, float(error))

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from bachelier_symmetries import pde_verify
 from bachelier_symmetries.errors import DomainError, InvalidParameter
 from bachelier_symmetries.pde_verify import (
+    EvalPoint,
     GridSpec,
     default_step,
     derivative_richardson,
@@ -59,8 +61,7 @@ class TestDerivativeHelpers:
         assert default_step(-5.0) == 5e-3
 
     def test_derivative_on_cubic(self):
-        assert derivative_richardson(lambda x: x**3, 2.0, 1e-3) == pytest.approx(
-            12.0, rel=1e-12)
+        assert derivative_richardson(lambda x: x**3, 2.0) == pytest.approx(12.0, rel=1e-12)
 
 
 class TestResidualFd:
@@ -95,7 +96,7 @@ class TestResidualFd:
         _, norm_boosted = residual_fd(boosted, 0.4, 1.3, P)
         assert norm_boosted <= 1e-10 and norm_plain <= 1e-10
 
-    def test_error_decays_by_factor_eight_on_halving(self):
+    def test_error_decays_by_factor_eight_on_halving(self, monkeypatch):
         # smooth control function that is not a solution and has no vanishing
         # high derivatives
         def control(t, S):
@@ -106,8 +107,10 @@ class TestResidualFd:
         raw_exact, _ = residual_from_partials(
             control(t, S), 0.3 * e, 0.4 * e + math.cos(S), 0.16 * e - math.sin(S), S, P)
         h = 0.04
-        err_coarse = abs(residual_fd(control, t, S, P, h_t=h, h_S=h)[0] - raw_exact)
-        err_fine = abs(residual_fd(control, t, S, P, h_t=h / 2, h_S=h / 2)[0] - raw_exact)
+        monkeypatch.setattr(pde_verify, "default_step", lambda x: h)
+        err_coarse = abs(residual_fd(control, t, S, P)[0] - raw_exact)
+        monkeypatch.setattr(pde_verify, "default_step", lambda x: h / 2)
+        err_fine = abs(residual_fd(control, t, S, P)[0] - raw_exact)
         assert err_coarse / err_fine >= 8.0
 
     def test_price_step_scales_with_price(self):
@@ -122,16 +125,11 @@ class TestResidualFd:
         offsets = sorted({abs(s - 5.0) for t, s in seen if t == 0.3 and s != 5.0})
         assert offsets == pytest.approx([0.5 * default_step(5.0), default_step(5.0)], rel=1e-9)
 
-    def test_rejects_bad_steps(self):
-        with pytest.raises(InvalidParameter):
-            residual_fd(ComboSolution(SolutionTerm(1, 0), P), 0.1, 0.1, P, h_t=0.0)
-
 
 class TestResidualScan:
     def test_zero_function(self):
         report = residual_scan(lambda t, s: 0.0, GridSpec((0, 1), (-1, 1), 3, 3), P, mode="fd")
         assert report.max_normalized == 0.0
-        assert report.mean_normalized == 0.0
         assert report.evaluated == 9
 
     def test_point_count(self):
@@ -181,7 +179,21 @@ class TestResidualScan:
         assert report.worst_point is None
         assert report.max_normalized == 0.0
 
-    def test_mean_bounded_by_max(self):
-        report = residual_scan(ComboSolution(SolutionTerm(4, -6), P),
-                               GridSpec((0.0, 1.0), (-2.0, 2.0), 7, 7), P)
-        assert 0.0 <= report.mean_normalized <= report.max_normalized
+    def test_nan_everywhere_fails(self):
+        report = residual_scan(lambda t, s: math.nan, GridSpec((0, 1), (-1, 1), 3, 3), P,
+                               mode="fd")
+        assert math.isnan(report.max_normalized)
+        assert report.worst_point == EvalPoint(0.0, -1.0)
+        assert report.evaluated == 9 and report.failures == 0
+
+    def test_nan_is_the_worst_point_and_stays(self):
+        # finite (zero) residuals on the S = -1 column, NaN wherever the
+        # stencil reaches S > 0; residuals after the first NaN must not
+        # displace it
+        def half(t, s):
+            return math.nan if s > 0.0 else 0.0
+
+        report = residual_scan(half, GridSpec((0, 1), (-1, 1), 3, 3), P, mode="fd")
+        assert math.isnan(report.max_normalized)
+        assert report.worst_point == EvalPoint(0.0, 0.0)
+        assert not report.max_normalized <= 1.0

@@ -27,7 +27,8 @@ class TestModelParams:
         assert ModelParams(-0.03, 0.2).r == -0.03
 
     @pytest.mark.parametrize("r,sigma", [(0.0, 0.2), (0.05, 0.0), (0.05, -0.1),
-                                         (float("nan"), 0.2), (0.05, float("inf"))])
+                                         (float("nan"), 0.2), (0.05, float("inf")),
+                                         (0.05, 1e200), (0.05, 1e-170)])
     def test_rejects_bad_values(self, r, sigma):
         with pytest.raises(InvalidParameter):
             ModelParams(r, sigma)
@@ -190,3 +191,31 @@ class TestCombos:
     def test_promotes_bare_term(self):
         f = ComboSolution(SolutionTerm(1, 0), P)
         assert f(0.9, 1.7) == pytest.approx(1.7)
+
+    def test_overflowing_value_raises(self):
+        # each term's exponent (r t = 695) passes the guard; times 1e10 it is inf
+        f = ComboSolution(SolutionTerm(2, 0, 1e10), P)
+        with pytest.raises(RangeError, match="not finite"):
+            f(13900.0, 0.0)
+        with pytest.raises(RangeError, match="not finite"):
+            f.partials(13900.0, 0.0)
+
+    @pytest.mark.parametrize("q, coeffs, t, S", [
+        (1, (1e300, 1e300), 0.0, 1e8),     # finite terms whose sum overflows
+        (2, (1e10, -1e10), 13900.0, 0.0),  # inf - inf
+    ])
+    def test_non_finite_sum_raises(self, q, coeffs, t, S):
+        f = ComboSolution(BaseCombo(tuple(SolutionTerm(q, 0, c) for c in coeffs)), P)
+        with pytest.raises(RangeError, match="not finite"):
+            f(t, S)
+        with pytest.raises(RangeError, match="not finite"):
+            f.partials(t, S)
+
+
+@pytest.mark.parametrize("S", [1e160, -5e159])
+def test_squared_price_overflow_is_range_error(S):
+    term = SolutionTerm(1, 0)
+    with pytest.raises(RangeError, match="overflows"):
+        eval_term(term, 0.0, S, P)
+    with pytest.raises(RangeError, match="overflows"):
+        eval_term_partials(term, 0.0, S, P)
