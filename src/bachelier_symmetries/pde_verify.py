@@ -66,6 +66,8 @@ class GridSpec:
                 raise InvalidParameter(f"{name} must be an integer >= 2, got {n!r}")
         object.__setattr__(self, "t_range", (float(self.t_range[0]), float(self.t_range[1])))
         object.__setattr__(self, "S_range", (float(self.S_range[0]), float(self.S_range[1])))
+        object.__setattr__(self, "nt", int(self.nt))
+        object.__setattr__(self, "nS", int(self.nS))
 
     def t_points(self) -> list[float]:
         lo, hi = self.t_range

@@ -18,9 +18,12 @@ damping factor e^{-u}, and an exponential carrier in t:
 The equation is linear, so finite weighted sums of members are again
 solutions; `BaseCombo` holds such a sum and `ComboSolution` evaluates it
 and its partials with exactly rounded summation (math.fsum), so tabulated
-output is reproducible across platforms. A value or partial that leaves the
-float range (a squared price that overflows, an exponent past the guard, a
-non-finite sum) raises RangeError; no inf or NaN is returned.
+output is reproducible across platforms. Where fsum overflows on an
+intermediate sum although the total is in range, the terms are added
+exactly as fractions and rounded once, an exactly rounded sum as well. A
+value or partial that leaves the float range (a squared price that
+overflows, an exponent past the guard, a non-finite sum) raises RangeError;
+no inf or NaN is returned.
 
 Negative rates are allowed (u simply goes negative, which the polynomial
 factor absorbs). r = 0 is rejected at construction: two of the symmetry
@@ -204,6 +207,19 @@ def eval_term_partials(
     return c, alpha * c, carrier * fac[1], carrier * fac[2]
 
 
+def _exact_sum(values) -> float:
+    # math.fsum raises when an intermediate sum overflows, even if the total
+    # is in range; the exact rational sum rounded once is the same exactly
+    # rounded result. A total outside the float range, or inf - inf, is nan.
+    # Imported here: this path is rare, and fractions loads decimal (~4 ms)
+    from fractions import Fraction
+
+    try:
+        return float(sum(map(Fraction, values)))
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 class ComboSolution:
     """A base combination bound to market parameters, usable as a plain callable.
 
@@ -225,7 +241,9 @@ class ComboSolution:
         values = [eval_term(term, t, S, self.params) for term in self.combo.terms]
         try:
             value = math.fsum(values)
-        except (OverflowError, ValueError):  # the sum overflows, or inf - inf
+        except OverflowError:  # an intermediate sum overflows
+            value = _exact_sum(values)
+        except ValueError:  # inf - inf
             value = math.nan
         if not math.isfinite(value):
             raise RangeError(f"combination value at (t, S) = ({t!r}, {S!r}) is not finite")
@@ -235,7 +253,9 @@ class ComboSolution:
         rows = [eval_term_partials(term, t, S, self.params) for term in self.combo.terms]
         try:
             sums = tuple(map(math.fsum, zip(*rows)))
-        except (OverflowError, ValueError):
+        except OverflowError:
+            sums = tuple(map(_exact_sum, zip(*rows)))
+        except ValueError:
             sums = (math.nan,) * 4
         c, c_t, c_s, c_ss = sums
         isfinite = math.isfinite

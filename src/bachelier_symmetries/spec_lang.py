@@ -79,10 +79,10 @@ class _Scanner:
         found = repr(self.text[self.pos]) if self.pos < len(self.text) else "end of input"
         raise ParseError(self.byte_offset(), expected, found)
 
-    def expect(self, ch: str, label: str | None = None):
+    def expect(self, ch: str):
         self.skip_ws()
         if self.peek() != ch:
-            self.fail(label or f"'{ch}'")
+            self.fail(f"'{ch}'")
         self.pos += 1
 
     def take_number(self) -> float:

@@ -79,6 +79,18 @@ class TestEval:
         assert code == 4 and out == ""
         assert err.startswith("range error:") and "not finite" in err
 
+    def test_finite_sum_past_an_intermediate_overflow(self, capsys):
+        code, out, err = run(capsys, "eval", "--expr", "1e300*C1[0] + 1e300*C1[0] - 1e300*C1[0]",
+                             "--t", "0", "--S", "1e8")
+        assert code == 0 and err == ""
+        assert out == "1e+308\n"
+
+    def test_sum_outside_float_range_exit(self, capsys):
+        code, out, err = run(capsys, "eval", "--expr", "1e308*C1[0] + 1e308*C1[0]",
+                             "--t", "0", "--S", "1")
+        assert code == 4 and out == ""
+        assert err.startswith("range error:") and "not finite" in err
+
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "nodir" / "x.txt"
         code, out, err = run(capsys, "eval", "--expr", "C1[0]", "--t", "0", "--S", "1",

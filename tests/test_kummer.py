@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bachelier_symmetries import kummer
 from bachelier_symmetries.errors import InvalidParameter
 from bachelier_symmetries.kummer import (
     kummer_truncated,
@@ -13,7 +14,9 @@ from bachelier_symmetries.kummer import (
     kummer_truncated_du,
     pochhammer,
 )
-from bachelier_symmetries.pde_verify import derivative_richardson
+from bachelier_symmetries.pde_verify import derivative_richardson, residual_scan
+from bachelier_symmetries.solutions import ComboSolution, SolutionTerm
+from bachelier_symmetries.verification import DEFAULT_GRID, DEFAULT_PARAMS, TOL_BASE_RESIDUAL
 
 U_GRID = [-10.0, -6.0, -3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0, 6.0, 10.0]
 
@@ -77,9 +80,9 @@ class TestDerivative:
     @given(
         st.integers(min_value=1, max_value=10),
         st.sampled_from([0.5, 1.5, 2.75]),
-        # positive arguments past ~6 lose about four digits to cancellation,
-        # so the property is claimed on the range the solution families use
-        st.floats(min_value=-10.0, max_value=5.0, allow_nan=False),
+        # the worst on a 0.001 grid is 5.8e-14 up to u = 10 and 3.4e-12 up
+        # to u = 20, past the bound
+        st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
     )
     @settings(max_examples=300)
     def test_contiguous_identity(self, m, b, u):
@@ -87,6 +90,19 @@ class TestDerivative:
         lhs = kummer_truncated_du(m, b, u)
         rhs = (-m / b) * kummer_truncated(m - 1, b + 1.0, u)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+    @given(
+        st.integers(min_value=0, max_value=10),
+        st.sampled_from([0.5, 1.5, 2.75]),
+        st.floats(min_value=-10.0, max_value=20.0, allow_nan=False),
+    )
+    @settings(max_examples=300)
+    def test_kummer_equation(self, m, b, u):
+        # u F'' + (b - u) F' + m F = 0 (DLMF 13.2.1 at a = -m); the
+        # evaluator never uses it, so it checks F, F' and F'' together
+        terms = (u * kummer_truncated_d2u(m, b, u), (b - u) * kummer_truncated_du(m, b, u),
+                 m * kummer_truncated(m, b, u))
+        assert abs(math.fsum(terms)) <= 1e-12 * max(1.0, *map(abs, terms))
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_second_derivative_consistent(self, m):
@@ -223,3 +239,22 @@ def test_positive_argument_against_exact_rational_evaluation(order, fn):
                 exact = _exact_partials(m, b, u)[order]
                 error = abs(Fraction(fn(m, b, u)) - exact) / max(1, abs(exact))
                 assert error <= 1e-12, (m, b, u, float(error))
+
+
+def test_base_residual_sees_a_perturbed_recurrence(monkeypatch):
+    """F'' above u = 1/2 does not come from Kummer's equation, so the
+    analytic PDE residual sees an error in the degree recurrence."""
+    tables = kummer._tables
+
+    def perturbed(m, b):
+        coeffs, du, d2u, steps = tables(m, b)
+        return coeffs, du, d2u, tuple((n, c, d * (1.0 + 1e-6)) for n, c, d in steps)
+
+    kummer._last_three.cache_clear()
+    monkeypatch.setattr(kummer, "_tables", perturbed)
+    try:
+        report = residual_scan(ComboSolution(SolutionTerm(3, -8), DEFAULT_PARAMS),
+                               DEFAULT_GRID, DEFAULT_PARAMS, mode="analytic")
+    finally:
+        kummer._last_three.cache_clear()
+    assert report.max_normalized > TOL_BASE_RESIDUAL

@@ -27,6 +27,11 @@ class TestGridSpec:
         assert grid.t_points() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert grid.S_points() == [-2.0, 0.0, 2.0]
 
+    def test_integral_float_counts_are_usable(self):
+        grid = GridSpec((0, 1), (0, 1), 3.0, 3)
+        assert grid.t_points() == [0.0, 0.5, 1.0]
+        assert type(grid.nt) is int
+
     @pytest.mark.parametrize("kwargs", [
         dict(t_range=(1.0, 0.0), S_range=(-1.0, 1.0), nt=3, nS=3),
         dict(t_range=(0.0, 1.0), S_range=(1.0, 1.0), nt=3, nS=3),

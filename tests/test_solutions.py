@@ -211,6 +211,21 @@ class TestCombos:
         with pytest.raises(RangeError, match="not finite"):
             f.partials(t, S)
 
+    def test_intermediate_overflow_with_finite_sum(self):
+        # fsum overflows on 1e308 + 1e308 before the last term brings the
+        # total back into range; the exact sum is 1e308
+        terms = tuple(SolutionTerm(1, 0, c) for c in (1e300, 1e300, -1e300))
+        f = ComboSolution(BaseCombo(terms), P)
+        assert f(0.0, 1e8) == 1e308
+        assert f.partials(0.0, 1e8) == (1e308, 0.0, 1e300, 0.0)
+
+    def test_exact_sum_outside_float_range_raises(self):
+        f = ComboSolution(BaseCombo((SolutionTerm(1, 0, 1e308), SolutionTerm(1, 0, 1e308))), P)
+        with pytest.raises(RangeError, match="not finite"):
+            f(0.0, 1.0)
+        with pytest.raises(RangeError, match="not finite"):
+            f.partials(0.0, 1.0)
+
 
 @pytest.mark.parametrize("S", [1e160, -5e159])
 def test_squared_price_overflow_is_range_error(S):
