@@ -43,8 +43,13 @@ F'':
     m <= 6,  u in [-5, 5]     9.8e-16   1.3e-15   6.1e-15
     m <= 20, u in [-5, 5]     4.3e-15   1.9e-14   2.9e-14
     m <= 20, u in [0, 20]     4.4e-14   4.1e-13   6.1e-14
+      the same, 0.001 grid    1.9e-12   2.7e-12   2.8e-12
     m <= 50, u in [-5, 5]     2.3e-13   1.8e-12   8.3e-13
     m <= 50, u in [0, 40]     2.6e-12   4.2e-12   1.4e-12
+
+The 0.25 grid steps over points where a value near 0 is the difference of
+recurrence values near 1e4: F' = -1.2 at m = 18, b = 1/2, u = 18.446 is
+m (F_m - F_{m-1}) / u with F_{m-1} and F_m near -9.4e3.
 """
 
 from __future__ import annotations

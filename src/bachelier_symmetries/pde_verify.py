@@ -16,17 +16,19 @@ Residuals are reported normalised by the largest magnitude among the four
 PDE terms, floored at 1, so solutions passing through zero are still
 checked meaningfully and a true solution scores ~1e-15 regardless of its
 overall scale. A scan reports the largest normalised residual and where it
-occurred; a NaN residual is the largest, so no tolerance passes it. Finite
-differences take one fixed step per coordinate, ``default_step``.
+occurred. Every check in the package reduces its measurements with
+``worst_case``, so a NaN measurement (a scan point that raises RangeError
+scores one) fails every check. Finite differences take one fixed step per
+coordinate, ``default_step``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .errors import DomainError, InvalidParameter
+from .errors import DomainError, InvalidParameter, RangeError
 from .solutions import ModelParams
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "residual_from_partials",
     "residual_fd",
     "residual_scan",
+    "worst_case",
 ]
 
 
@@ -87,14 +90,29 @@ class ResidualReport:
     ``failures`` counts grid points skipped because the function (or its
     finite-difference stencil) left its domain; ``evaluated`` counts the
     rest. ``max_normalized`` and ``worst_point`` cover evaluated points
-    only; a NaN residual counts as the worst point, so it fails every
-    tolerance.
+    only; a NaN residual (a RangeError point scores one) counts as the
+    worst point, so it fails every tolerance.
     """
 
     max_normalized: float
     worst_point: EvalPoint | None
     failures: int
     evaluated: int
+
+
+def _worse(x: float, worst: float) -> bool:
+    """True when x displaces worst: x is larger, or x is NaN and worst is not yet."""
+    return x > worst or (x != x and worst == worst)
+
+
+def worst_case(values: Iterable[float]) -> float:
+    """The largest measurement, or the first NaN (``max`` would drop it); 0.0 for none."""
+    values = iter(values)
+    worst = next(values, 0.0)
+    for x in values:
+        if _worse(x, worst):
+            worst = x
+    return worst
 
 
 def default_step(x: float) -> float:
@@ -166,7 +184,8 @@ def residual_scan(
     ``partials(t, S)`` method; combo-backed solutions do, and so do
     pipelines over them (``chain_function``, ``transformed``). mode "fd"
     works on any callable. Points where the evaluation raises DomainError
-    are skipped and counted as failures.
+    are skipped and counted as failures; a point where it raises
+    RangeError scores a NaN residual.
 
     The scan is a deterministic row-major sweep (t outer, S inner), so
     reports are reproducible; f may also be evaluated concurrently by
@@ -194,15 +213,10 @@ def residual_scan(
             except DomainError:
                 failures += 1
                 continue
-            # NaN compares false: it takes the place of a number, never
-            # gives it up, and a later NaN does not move it
-            if normalized > worst or (normalized != normalized and worst == worst):
+            except RangeError:
+                normalized = math.nan
+            if _worse(normalized, worst):
                 worst = normalized
                 worst_point = EvalPoint(t, S)
     evaluated = grid.nt * grid.nS - failures
-    return ResidualReport(
-        max_normalized=worst if evaluated else 0.0,
-        worst_point=worst_point,
-        failures=failures,
-        evaluated=evaluated,
-    )
+    return ResidualReport(worst if evaluated else 0.0, worst_point, failures, evaluated)

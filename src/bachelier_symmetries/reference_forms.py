@@ -14,7 +14,8 @@ tautology. Families here are parametrised so that eps = 0 gives back the
 base solution and, for groups 4 and 5, the admissible parameter set at a
 point t is e^{2rt} + eps > 0 (resp. e^{-2rt} + eps > 0). Under the group
 composition conventions of `symmetry`, `pullback` with GroupElement(i, -eps)
-evaluates the identical function of (t, S).
+evaluates the identical function of (t, S). Every exponential goes through
+`solutions.safe_exp`, so out-of-range parameters raise RangeError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .solutions import BaseCombo, ModelParams, SolutionTerm
+from .solutions import BaseCombo, ModelParams, SolutionTerm, safe_exp
 
 __all__ = [
     "worked_combo",
@@ -51,11 +52,11 @@ def g4_family_from_linear(t: float, S: float, eps: float, params: ModelParams) -
         w = e^{2rt} + eps.
     """
     r, sigma = params.r, params.sigma
-    w = math.exp(2.0 * r * t) + eps
+    w = safe_exp(2.0 * r * t) + eps
     if w <= 0.0:
         raise DomainError(f"family undefined: e^(2rt) + eps = {w:.6g}")
     exponent = r * (3.0 * sigma**2 * t * w - eps * S**2) / (sigma**2 * w)
-    return math.exp(exponent) * S / w**1.5
+    return safe_exp(exponent) * S / w**1.5
 
 
 def g5_family_from_gaussian_term(t: float, S: float, eps: float, params: ModelParams) -> float:
@@ -66,12 +67,12 @@ def g5_family_from_gaussian_term(t: float, S: float, eps: float, params: ModelPa
         d = 1 + e^{2rt} eps.
     """
     r, sigma = params.r, params.sigma
-    v = math.exp(-2.0 * r * t) + eps
+    v = safe_exp(-2.0 * r * t) + eps
     if v <= 0.0:
         raise DomainError(f"family undefined: e^(-2rt) + eps = {v:.6g}")
-    d = 1.0 + math.exp(2.0 * r * t) * eps
+    d = 1.0 + safe_exp(2.0 * r * t) * eps
     exponent = r * (5.0 * t - S**2 / (sigma**2 * d))
-    return math.exp(exponent) * math.sqrt(v) * (-2.0 * r * S**2 + sigma**2 * d) / (sigma**2 * d**3)
+    return safe_exp(exponent) * math.sqrt(v) * (-2.0 * r * S**2 + sigma**2 * d) / (sigma**2 * d**3)
 
 
 def g3_family_from_worked_combo(t: float, S: float, eps: float, params: ModelParams) -> float:
@@ -83,22 +84,22 @@ def g3_family_from_worked_combo(t: float, S: float, eps: float, params: ModelPar
     """
     r, sigma = params.r, params.sigma
     s2 = sigma**2
-    ert = math.exp(r * t)
-    emrt = math.exp(-r * t)
-    prefactor = math.exp(eps * r * emrt * (eps * emrt + 2.0 * S) / s2)
+    ert = safe_exp(r * t)
+    emrt = safe_exp(-r * t)
+    prefactor = safe_exp(eps * r * emrt * (eps * emrt + 2.0 * S) / s2)
     shifted = S + eps * emrt
-    gauss = math.exp(-r * shifted**2 / s2)
+    gauss = safe_exp(-r * shifted**2 / s2)
     part1 = (2.0 * shifted
-             + 5.0 * math.exp(-5.0 * r * t) * (eps + S * ert)
-             * (math.exp(2.0 * r * t) * (2.0 * r * S**2 + 3.0 * s2)
+             + 5.0 * safe_exp(-5.0 * r * t) * (eps + S * ert)
+             * (safe_exp(2.0 * r * t) * (2.0 * r * S**2 + 3.0 * s2)
                 + 2.0 * eps * r * (eps + 2.0 * ert * S)) / (3.0 * s2))
     part2 = (ert
-             + 3.0 * math.exp(-3.0 * r * t)
-             * (math.exp(2.0 * r * t) * (2.0 * r * S**2 + s2)
+             + 3.0 * safe_exp(-3.0 * r * t)
+             * (safe_exp(2.0 * r * t) * (2.0 * r * S**2 + s2)
                 + 2.0 * eps * r * (eps + 2.0 * ert * S)) / s2)
-    part3 = (4.0 * math.exp(2.0 * r * t) * gauss * (eps + ert * S)
-             + 6.0 * math.exp(5.0 * r * t) * gauss * shifted
+    part3 = (4.0 * safe_exp(2.0 * r * t) * gauss * (eps + ert * S)
+             + 6.0 * safe_exp(5.0 * r * t) * gauss * shifted
              * (1.0 - 2.0 * r * shifted**2 / (3.0 * s2)))
-    part4 = (7.0 * math.exp(2.0 * r * t) * gauss
-             + 9.0 * math.exp(4.0 * r * t) * gauss * (1.0 - 2.0 * r * shifted**2 / s2))
+    part4 = (7.0 * safe_exp(2.0 * r * t) * gauss
+             + 9.0 * safe_exp(4.0 * r * t) * gauss * (1.0 - 2.0 * r * shifted**2 / s2))
     return prefactor * (part1 + part2 + part3 + part4)

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, NamedTuple
 
 from .errors import DomainError, InvalidParameter, RangeError
+from .pde_verify import worst_case
 from .solutions import (
     ModelParams,
     SolutionTerm,
@@ -347,20 +348,18 @@ def surface_defect(
     carried to itself exactly when this vanishes identically. Values are
     normalised by the largest participating magnitude (floored at 1).
     """
-    worst = 0.0
-    count = 0
+    defects = []
     for t, S in sample:
-        count += 1
         c, c_t, c_s, _ = eval_term_partials(term, t, S, params)
         comp = generator_eval(i, JetPoint(t, S, c), params)
         drift_t = comp.T_comp * c_t
         drift_s = comp.S_comp * c_s
         defect = comp.C_comp - (drift_t + drift_s)
         scale = max(1.0, abs(comp.C_comp), abs(drift_t), abs(drift_s))
-        worst = max(worst, abs(defect) / scale)
-    if count == 0:
+        defects.append(abs(defect) / scale)
+    if not defects:
         raise InvalidParameter("surface check needs a non-empty sample")
-    return worst
+    return worst_case(defects)
 
 
 def fixed_surface_check(

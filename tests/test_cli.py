@@ -200,6 +200,20 @@ class TestVerify:
         assert code == 0
         assert "r=0.07" in out and "r=-0.03" not in out
 
+    def test_overflowing_rate_fails_every_closure_row(self, capsys):
+        # every scan point overflows and scores a NaN residual, so every
+        # row prints and fails instead of one RangeError ending the run
+        code, out, _ = run(capsys, "verify", "--scope", "theorem2", "--r", "1e300")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 13 and lines[-1] == "# 0/12 checks passed"
+        assert all(line.startswith("FAIL") and "measured=nan" in line for line in lines[:-1])
+
+    def test_overflowing_rate_in_the_oracles_is_a_range_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--scope", "examples", "--r", "1e300")
+        assert code == 4 and out == ""
+        assert err.startswith("range error:") and len(err.splitlines()) == 1
+
 
 class TestTransform:
     def test_appends_element(self, capsys):

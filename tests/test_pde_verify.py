@@ -5,7 +5,7 @@ import math
 import pytest
 
 from bachelier_symmetries import pde_verify
-from bachelier_symmetries.errors import DomainError, InvalidParameter
+from bachelier_symmetries.errors import DomainError, InvalidParameter, RangeError
 from bachelier_symmetries.pde_verify import (
     EvalPoint,
     GridSpec,
@@ -14,6 +14,7 @@ from bachelier_symmetries.pde_verify import (
     residual_fd,
     residual_from_partials,
     residual_scan,
+    worst_case,
 )
 from bachelier_symmetries.solutions import ComboSolution, ModelParams, SolutionTerm
 from bachelier_symmetries.symmetry import GroupElement, transformed
@@ -202,3 +203,36 @@ class TestResidualScan:
         assert math.isnan(report.max_normalized)
         assert report.worst_point == EvalPoint(0.0, 0.0)
         assert not report.max_normalized <= 1.0
+
+    def test_range_error_scores_nan(self):
+        # an overflow at S > 0 is a NaN residual there, not an abort of the
+        # scan, and not a skipped point
+        def overflowing(t, s):
+            if s > 0.0:
+                raise RangeError("exponent beyond the guard")
+            return s
+
+        report = residual_scan(overflowing, GridSpec((0, 1), (-1, 1), 3, 3), P, mode="fd")
+        assert math.isnan(report.max_normalized)
+        assert report.worst_point == EvalPoint(0.0, 0.0)
+        assert report.evaluated == 9 and report.failures == 0
+
+
+class TestWorstCase:
+    def test_empty_is_zero(self):
+        assert worst_case([]) == 0.0
+        assert worst_case(iter(())) == 0.0
+
+    def test_largest_value(self):
+        assert worst_case([0.5, 2.0, 1.0]) == 2.0
+        assert worst_case(x for x in (3e-15, 1e-16)) == 3e-15
+
+    def test_first_nan_wins_and_stays(self):
+        first, later = float("nan"), float("nan")
+        assert worst_case([1.0, first, 5.0, later, math.inf]) is first
+        assert worst_case([first, 1.0]) is first
+        assert not worst_case([0.0, first]) <= 1.0
+
+    def test_ties_keep_the_first(self):
+        assert math.copysign(1.0, worst_case([-0.0, 0.0])) == -1.0
+        assert math.copysign(1.0, worst_case([0.0, -0.0])) == 1.0

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bachelier_symmetries.errors import DomainError
+from bachelier_symmetries.errors import DomainError, RangeError
 from bachelier_symmetries.pde_verify import residual_fd
 from bachelier_symmetries.reference_forms import (
     g3_family_from_worked_combo,
@@ -65,6 +65,11 @@ class TestClosedForms:
                 continue
             assert abs(direct - routed) <= 1e-11 * max(1.0, abs(direct), abs(routed))
             produced += 1
+
+    @pytest.mark.parametrize("oracle", [case[2] for case in CASES])
+    def test_overflow_is_a_range_error(self, oracle):
+        with pytest.raises(RangeError):
+            oracle(0.5, 1.0, 0.1, ModelParams(r=1e300, sigma=0.2))
 
     def test_g4_domain_error(self):
         with pytest.raises(DomainError):

@@ -26,6 +26,7 @@ from bachelier_symmetries.symmetry import (
     inverse_point_map,
     pullback,
     pullback_chain,
+    surface_defect,
     transformed,
 )
 from bachelier_symmetries.reference_forms import g4_family_from_linear
@@ -308,3 +309,10 @@ class TestFixedSurfaces:
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidParameter):
             fixed_surface_check(1, SolutionTerm(1, 0), (), P)
+
+    def test_nan_defect_is_not_fixed(self):
+        # at S = 1e153 the generator's C component overflows, so the
+        # defect is inf / inf; a finite point before it must not hide it
+        sample = ((0.3, -1.2), (0.1, 1e153), (0.45, 0.8))
+        assert math.isnan(surface_defect(4, SolutionTerm(1, 0), sample, P))
+        assert fixed_surface_check(4, SolutionTerm(1, 0), [(0.1, 1e153)], P) is False
