@@ -12,13 +12,19 @@ case and nothing else; non-integer orders are rejected rather than
 approximated by a series.
 
 Everything that depends on (m, b) alone is built, and m and b validated,
-once per pair in one cache: the power-series coefficients of F from the
-term-ratio recurrence, free of factorial-sized intermediates,
+once per pair in one cache, ``_tables(m, b)``: the power-series coefficients
+of F from the term-ratio recurrence, free of factorial-sized intermediates,
 
     c_0 = 1,    c_{k+1} = c_k * (k - m) / ((b + k) (k + 1)),
 
 those of F' and F'' by differentiating them, and the steps of the degree
-recurrence below. At u <= 1/2, F, F' and F'' are Horner sweeps over them.
+recurrence below, each stored in the order the sweeps read it. Callers that
+evaluate many points bind the entry once and call the sweeps on it:
+``_value`` gives F, ``_sweep`` gives (F, F', F'') in one pass. At u <= 1/2
+both are Horner sweeps from the top degree down; ``_sweep`` runs the three
+in one loop over rows (c_k, c'_k, c''_k), with F' and F'' padded by leading
+zero rows, which keep their accumulators at exactly 0.0 at finite u, so
+each value is rounded as by its own sweep.
 
 The monomial Horner sweep loses digits to cancellation at positive u, the
 more the larger u and m. Above u = 1/2 the contiguous recurrence in the
@@ -89,9 +95,10 @@ def _checked_order(m) -> int:
 
 @lru_cache(maxsize=None, typed=True)
 def _tables(m, b: float):
-    # Horner tuples of F, F', F'' and the recurrence steps (n, 2n + b, b + n)
-    # for n < m. typed: True and 2.0 must not hit the entries of 1 and 2, so
-    # a bool order reaches _checked_order; a raised error is not cached
+    # (m, F's coefficients from the top degree down, rows (c_k, c'_k, c''_k)
+    # from the top degree down, recurrence steps (n, 2n + b, b + n) for
+    # n < m). typed: True and 2.0 must not hit the entries of 1 and 2, so a
+    # bool order reaches _checked_order; a raised error is not cached
     m = _checked_order(m)
     coeffs = [1.0]
     for k in range(m):
@@ -99,28 +106,38 @@ def _tables(m, b: float):
             raise InvalidParameter(
                 f"(b)_{k + 1} vanishes for b = {b}; degree-{m} polynomial undefined")
         coeffs.append(coeffs[-1] * (k - m) / ((b + k) * (k + 1)))
-    du = tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
-    d2u = tuple((k + 1) * c for k, c in enumerate(du[1:]))
+    du = [(k + 1) * c for k, c in enumerate(coeffs[1:])]
+    d2u = [(k + 1) * c for k, c in enumerate(du[1:])]
+    rows = tuple(zip(reversed(coeffs), [0.0, *reversed(du)], [0.0, 0.0, *reversed(d2u)]))
     steps = tuple((float(n), 2 * n + b, b + n) for n in range(m))
-    return tuple(coeffs), du, d2u, steps
+    return m, tuple(reversed(coeffs)), rows, steps
 
 
-def _horner(coeffs: tuple[float, ...], u: float) -> float:
+def _value(table, u: float) -> float:
+    """F(-m, b; u) from a ``_tables`` entry."""
+    if u > _RECURRENCE_FROM:
+        return _sweep(table, u)[0]
     acc = 0.0
-    for c in reversed(coeffs):
+    for c in table[1]:
         acc = acc * u + c
     return acc
 
 
-@lru_cache(maxsize=1, typed=True)
-def _last_three(m, b: float, u: float) -> tuple[float, float, float]:
-    # (F_{m-2}, F_{m-1}, F_m) at (b; u), F_n = F(-n, b; u); F_0 = 1 and zero
-    # F_{-1}, F_{-2} start it. eval_term_partials asks for F, F' and F'' at
-    # one point in turn, so the last sweep is kept: one serves all three
-    f2, f1, f = 0.0, 0.0, 1.0
-    for n, c, d in _tables(m, b)[3]:
-        f2, f1, f = f1, f, ((c - u) * f - n * f1) / d
-    return f2, f1, f
+def _sweep(table, u: float) -> tuple[float, float, float]:
+    """(F, F', F'') at u from a ``_tables`` entry, in one pass."""
+    m, _, rows, steps = table
+    if u > _RECURRENCE_FROM:
+        # F_{m-2}, F_{m-1}, F_m; F_0 = 1 and zero F_{-1}, F_{-2} start it
+        f2, f1, f = 0.0, 0.0, 1.0
+        for n, c, d in steps:
+            f2, f1, f = f1, f, ((c - u) * f - n * f1) / d
+        return f, m * (f - f1) / u, m * (m - 1) * (f - 2 * f1 + f2) / (u * u)
+    a0 = a1 = a2 = 0.0
+    for c0, c1, c2 in rows:
+        a0 = a0 * u + c0
+        a1 = a1 * u + c1
+        a2 = a2 * u + c2
+    return a0, a1, a2
 
 
 def kummer_truncated(m: int, b: float, u: float) -> float:
@@ -129,22 +146,14 @@ def kummer_truncated(m: int, b: float, u: float) -> float:
     Raises InvalidParameter when m is not a non-negative integer, or when a
     denominator factor (b)_k vanishes for some k <= m.
     """
-    if u > _RECURRENCE_FROM:
-        return _last_three(m, b, u)[2]
-    return _horner(_tables(m, b)[0], u)
+    return _value(_tables(m, b), u)
 
 
 def kummer_truncated_du(m: int, b: float, u: float) -> float:
     """First u-derivative of ``kummer_truncated``."""
-    if u > _RECURRENCE_FROM:
-        _, f1, f = _last_three(m, b, u)
-        return m * (f - f1) / u
-    return _horner(_tables(m, b)[1], u)
+    return _sweep(_tables(m, b), u)[1]
 
 
 def kummer_truncated_d2u(m: int, b: float, u: float) -> float:
     """Second u-derivative of ``kummer_truncated``; needed for price curvature."""
-    if u > _RECURRENCE_FROM:
-        f2, f1, f = _last_three(m, b, u)
-        return m * (m - 1) * (f - 2 * f1 + f2) / (u * u)
-    return _horner(_tables(m, b)[2], u)
+    return _sweep(_tables(m, b), u)[2]

@@ -18,12 +18,15 @@ damping factor e^{-u}, and an exponential carrier in t:
 The equation is linear, so finite weighted sums of members are again
 solutions; `BaseCombo` holds such a sum and `ComboSolution` evaluates it
 and its partials with exactly rounded summation (math.fsum), so tabulated
-output is reproducible across platforms. Where fsum overflows on an
-intermediate sum although the total is in range, the terms are added
-exactly as fractions and rounded once, an exactly rounded sum as well. A
-value or partial that leaves the float range (a squared price that
-overflows, an exponent past the guard, a non-finite sum) raises RangeError;
-no inf or NaN is returned.
+output is reproducible across platforms. `ComboSolution` compiles each term
+once, into a kernel that holds its Kummer table (see `kummer`), so a point
+costs one Kummer sweep and one guarded exponential per term. `eval_term`
+and `eval_term_partials` are one-term combinations: a member has one
+formula. Where fsum overflows on an intermediate sum although the total is
+in range, the terms are added exactly as fractions and rounded once, an
+exactly rounded sum as well. A value or partial that leaves the float
+range (a squared price that overflows, an exponent past the guard, a
+non-finite sum) raises RangeError; no inf or NaN is returned.
 
 Negative rates are allowed (u simply goes negative, which the polynomial
 factor absorbs). r = 0 is rejected at construction: two of the symmetry
@@ -36,8 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import kummer
 from .errors import InvalidParameter, RangeError
-from .kummer import kummer_truncated, kummer_truncated_du, kummer_truncated_d2u
+from .kummer import _sweep, _value
+# not called here since terms are compiled; bench/tracer.py binds these names
+from .kummer import kummer_truncated, kummer_truncated_du, kummer_truncated_d2u  # noqa: F401
 
 __all__ = [
     "EXP_GUARD",
@@ -144,69 +150,6 @@ _CLASS_TABLE = {
 }
 
 
-def eval_term(term: SolutionTerm, t: float, S: float, params: ModelParams) -> float:
-    """Value of coeff * C_{q,n}(t, S)."""
-    b, sgn, with_price, with_gauss, na, nb = _CLASS_TABLE[term.class_q]
-    r = params.r
-    try:
-        u = r * (S / params.sigma) ** 2
-    except OverflowError:
-        raise RangeError(f"(S / sigma)^2 overflows at S = {S!r}") from None
-    value = kummer_truncated(term.degree, b, sgn * u)
-    if with_price:
-        value *= S
-    exponent = (na * term.order_n + nb) * r * t
-    if with_gauss:
-        exponent -= u
-    return term.coeff * value * safe_exp(exponent)
-
-
-def _triple_mul(a, b):
-    # (value, d/dS, d2/dS2) of a product from the triples of its factors
-    return (
-        a[0] * b[0],
-        a[1] * b[0] + a[0] * b[1],
-        a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2],
-    )
-
-
-def eval_term_partials(
-    term: SolutionTerm, t: float, S: float, params: ModelParams
-) -> tuple[float, float, float, float]:
-    """Value and exact partials (C, C_t, C_S, C_SS) of coeff * C_{q,n} at (t, S).
-
-    Product and chain rule over the S prefactor, the Gaussian factor and the
-    Kummer polynomial; the t dependence is a single exponential carrier, so
-    C_t is proportional to C. The carrier and the Gaussian factor share one
-    exponential, rounded exactly as in ``eval_term``, and the Gaussian
-    contributes its polynomial factor (1, -u', u'^2 - u'').
-    """
-    b, sgn, with_price, with_gauss, na, nb = _CLASS_TABLE[term.class_q]
-    r, sigma = params.r, params.sigma
-    try:
-        u = r * (S / sigma) ** 2
-    except OverflowError:
-        raise RangeError(f"(S / sigma)^2 overflows at S = {S!r}") from None
-    du = 2.0 * r * S / sigma**2
-    d2u = 2.0 * r / sigma**2
-    v = sgn * u
-    m = term.degree
-    p0 = kummer_truncated(m, b, v)
-    p1 = kummer_truncated_du(m, b, v)
-    p2 = kummer_truncated_d2u(m, b, v)
-    fac = (p0, sgn * du * p1, du * du * p2 + sgn * d2u * p1)
-    if with_price:
-        fac = _triple_mul((S, 1.0, 0.0), fac)
-    alpha = (na * term.order_n + nb) * r
-    exponent = alpha * t
-    if with_gauss:
-        fac = _triple_mul((1.0, -du, du * du - d2u), fac)
-        exponent -= u
-    carrier = term.coeff * safe_exp(exponent)
-    c = carrier * fac[0]
-    return c, alpha * c, carrier * fac[1], carrier * fac[2]
-
-
 def _exact_sum(values) -> float:
     # math.fsum raises when an intermediate sum overflows, even if the total
     # is in range; the exact rational sum rounded once is the same exactly
@@ -220,6 +163,14 @@ def _exact_sum(values) -> float:
         return math.nan
 
 
+def _argument(S: float, params: ModelParams) -> float:
+    # u = r (S / sigma)^2, the argument of every member at price S
+    try:
+        return params.r * (S / params.sigma) ** 2
+    except OverflowError:
+        raise RangeError(f"(S / sigma)^2 overflows at S = {S!r}") from None
+
+
 class ComboSolution:
     """A base combination bound to market parameters, usable as a plain callable.
 
@@ -227,18 +178,41 @@ class ComboSolution:
     and additionally expose exact partial derivatives, which the analytic
     residual scanner requires. A bare SolutionTerm is promoted to a
     one-term combination.
+
+    Construction compiles each term into a kernel: its weight, the sign of
+    its Kummer argument, its S-prefactor and Gaussian flags, its carrier
+    rate alpha = (na n + nb) r and its Kummer table. A point then computes u
+    (and its S-derivatives) once, and per term runs one Kummer sweep and one
+    guarded exponential.
     """
 
-    __slots__ = ("combo", "params")
+    __slots__ = ("combo", "params", "_kernels")
 
     def __init__(self, combo: BaseCombo | SolutionTerm, params: ModelParams):
         if isinstance(combo, SolutionTerm):
             combo = BaseCombo((combo,))
         self.combo = combo
         self.params = params
+        kernels = []
+        for term in combo.terms:
+            b, sgn, with_price, with_gauss, na, nb = _CLASS_TABLE[term.class_q]
+            # the table through its module, so that a replaced one is seen
+            kernels.append((term.coeff, sgn, with_price, with_gauss,
+                            (na * term.order_n + nb) * params.r,
+                            kummer._tables(term.degree, b)))
+        self._kernels = tuple(kernels)
 
     def __call__(self, t: float, S: float) -> float:
-        values = [eval_term(term, t, S, self.params) for term in self.combo.terms]
+        u = _argument(S, self.params)
+        values = []
+        for coeff, sgn, with_price, with_gauss, alpha, table in self._kernels:
+            value = _value(table, sgn * u)
+            if with_price:
+                value *= S
+            exponent = alpha * t
+            if with_gauss:
+                exponent -= u
+            values.append(coeff * value * safe_exp(exponent))
         try:
             value = math.fsum(values)
         except OverflowError:  # an intermediate sum overflows
@@ -250,7 +224,34 @@ class ComboSolution:
         return value
 
     def partials(self, t: float, S: float) -> tuple[float, float, float, float]:
-        rows = [eval_term_partials(term, t, S, self.params) for term in self.combo.terms]
+        """Value and exact partials (C, C_t, C_S, C_SS) at (t, S).
+
+        Per term, (value, d/dS, d2/dS2) of the Kummer factor by the chain
+        rule through v = sign * u, times those of the S prefactor (S, 1, 0)
+        and of the Gaussian factor (1, -u', u'^2 - u'') over its exponential
+        by the product rule. The t dependence is the carrier alone, so
+        C_t = alpha C. The carrier and the Gaussian share one exponential,
+        rounded as in the value path.
+        """
+        r, sigma = self.params.r, self.params.sigma
+        u = _argument(S, self.params)
+        du = 2.0 * r * S / sigma**2
+        d2u = 2.0 * r / sigma**2
+        du2 = du * du
+        g1, g2 = -du, du2 - d2u
+        rows = []
+        for coeff, sgn, with_price, with_gauss, alpha, table in self._kernels:
+            p0, p1, p2 = _sweep(table, sgn * u)
+            f0, f1, f2 = p0, sgn * du * p1, du2 * p2 + sgn * d2u * p1
+            if with_price:  # 0.0 * f0 carries a non-finite f0 into f2
+                f0, f1, f2 = S * f0, f0 + S * f1, 0.0 * f0 + 2.0 * f1 + S * f2
+            exponent = alpha * t
+            if with_gauss:
+                f1, f2 = g1 * f0 + f1, g2 * f0 + 2.0 * g1 * f1 + f2
+                exponent -= u
+            carrier = coeff * safe_exp(exponent)
+            c = carrier * f0
+            rows.append((c, alpha * c, carrier * f1, carrier * f2))
         try:
             sums = tuple(map(math.fsum, zip(*rows)))
         except OverflowError:
@@ -263,3 +264,15 @@ class ComboSolution:
             raise RangeError(f"combination partials at (t, S) = ({t!r}, {S!r}) are not finite: "
                              + ", ".join(map(repr, sums)))
         return sums
+
+
+def eval_term(term: SolutionTerm, t: float, S: float, params: ModelParams) -> float:
+    """Value of coeff * C_{q,n}(t, S): the one-term ``ComboSolution``."""
+    return ComboSolution(term, params)(t, S)
+
+
+def eval_term_partials(
+    term: SolutionTerm, t: float, S: float, params: ModelParams
+) -> tuple[float, float, float, float]:
+    """(C, C_t, C_S, C_SS) of coeff * C_{q,n} at (t, S): the one-term ``ComboSolution``."""
+    return ComboSolution(term, params).partials(t, S)

@@ -209,10 +209,21 @@ class TestVerify:
         assert len(lines) == 13 and lines[-1] == "# 0/12 checks passed"
         assert all(line.startswith("FAIL") and "measured=nan" in line for line in lines[:-1])
 
-    def test_overflowing_rate_in_the_oracles_is_a_range_error(self, capsys):
-        code, out, err = run(capsys, "verify", "--scope", "examples", "--r", "1e300")
-        assert code == 4 and out == ""
-        assert err.startswith("range error:") and len(err.splitlines()) == 1
+    def test_overflowing_rate_fails_every_oracle_row(self, capsys):
+        # every sample of the reproduction and surface oracles overflows and
+        # is measured as NaN, so all six rows print and fail
+        code, out, _ = run(capsys, "verify", "--scope", "examples", "--r", "1e300")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 7 and lines[-1] == "# 0/6 checks passed"
+        assert all(line.startswith("FAIL") and "measured=nan" in line for line in lines[:-1])
+
+    def test_overflowing_rate_prints_every_row_of_the_referee(self, capsys):
+        # one parameter set: 21 theorem1 rows, then 12 + 13 + 6 + 4 + 2
+        code, out, _ = run(capsys, "verify", "--scope", "all", "--r", "1e300")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 59 and lines[-1].endswith("/58 checks passed")
 
 
 class TestTransform:

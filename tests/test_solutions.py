@@ -1,11 +1,17 @@
 """Base solution families: frozen values, derivative cross-checks, combinations."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bachelier_symmetries.errors import InvalidParameter, RangeError
+from bachelier_symmetries.kummer import (
+    kummer_truncated,
+    kummer_truncated_d2u,
+    kummer_truncated_du,
+)
 from bachelier_symmetries.solutions import (
     BaseCombo,
     ComboSolution,
@@ -13,6 +19,7 @@ from bachelier_symmetries.solutions import (
     SolutionTerm,
     eval_term,
     eval_term_partials,
+    safe_exp,
 )
 from bachelier_symmetries.pde_verify import default_step
 from bachelier_symmetries.reference_forms import worked_combo
@@ -234,3 +241,90 @@ def test_squared_price_overflow_is_range_error(S):
         eval_term(term, 0.0, S, P)
     with pytest.raises(RangeError, match="overflows"):
         eval_term_partials(term, 0.0, S, P)
+
+
+# Term by term from the public Kummer functions, in the order of operations
+# the compiled kernels must reproduce bit for bit: (b, sign of the Kummer
+# argument, S prefactor?, e^{-u} factor?, na, nb) with carrier (na n + nb) r t
+_REFERENCE_CLASSES = {
+    1: (1.5, -1.0, True, False, 1, 0),
+    2: (0.5, -1.0, False, False, 1, 1),
+    3: (1.5, 1.0, True, True, -1, 3),
+    4: (0.5, 1.0, False, True, -1, 2),
+}
+
+
+def _reference_value(term, t, S, params):
+    b, sgn, with_price, with_gauss, na, nb = _REFERENCE_CLASSES[term.class_q]
+    u = params.r * (S / params.sigma) ** 2
+    value = kummer_truncated(term.degree, b, sgn * u)
+    if with_price:
+        value *= S
+    exponent = (na * term.order_n + nb) * params.r * t
+    if with_gauss:
+        exponent -= u
+    return term.coeff * value * safe_exp(exponent)
+
+
+def _product(a, b):
+    # (value, d/dS, d2/dS2) of a product from those of its factors
+    return (a[0] * b[0], a[1] * b[0] + a[0] * b[1],
+            a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])
+
+
+def _reference_partials(term, t, S, params):
+    b, sgn, with_price, with_gauss, na, nb = _REFERENCE_CLASSES[term.class_q]
+    r, sigma = params.r, params.sigma
+    u = r * (S / sigma) ** 2
+    du = 2.0 * r * S / sigma**2
+    d2u = 2.0 * r / sigma**2
+    m, v = term.degree, sgn * u
+    p0, p1, p2 = (kummer_truncated(m, b, v), kummer_truncated_du(m, b, v),
+                  kummer_truncated_d2u(m, b, v))
+    fac = (p0, sgn * du * p1, du * du * p2 + sgn * d2u * p1)
+    if with_price:
+        fac = _product((S, 1.0, 0.0), fac)
+    alpha = (na * term.order_n + nb) * r
+    exponent = alpha * t
+    if with_gauss:
+        fac = _product((1.0, -du, du * du - d2u), fac)
+        exponent -= u
+    carrier = term.coeff * safe_exp(exponent)
+    c = carrier * fac[0]
+    return c, alpha * c, carrier * fac[1], carrier * fac[2]
+
+
+def _reference_combo(terms, t, S, params):
+    # value and partials of the sum, each column exactly rounded
+    value = math.fsum([_reference_value(term, t, S, params) for term in terms])
+    rows = [_reference_partials(term, t, S, params) for term in terms]
+    return value, tuple(map(math.fsum, zip(*rows)))
+
+
+@pytest.mark.parametrize("params", [P, P_NEG], ids=["r>0", "r<0"])
+def test_compiled_combination_is_bit_identical_to_term_by_term(params):
+    rng = random.Random(8128)
+    below = above = 0
+    for _ in range(150):
+        terms = tuple(SolutionTerm(rng.randint(1, 4), -2 * rng.randint(0, 20),
+                                   rng.uniform(-3.0, 3.0)) for _ in range(rng.randint(1, 6)))
+        f = ComboSolution(BaseCombo(terms), params)
+        for _ in range(8):
+            t, S = rng.uniform(0.0, 1.0), rng.uniform(-4.0, 4.0)
+            u = abs(params.r) * (S / params.sigma) ** 2
+            below, above = below + (u <= 0.5), above + (u > 0.5)
+            assert (f(t, S), f.partials(t, S)) == _reference_combo(terms, t, S, params)
+    assert below > 100 and above > 100
+
+
+@pytest.mark.parametrize("params", [P, P_NEG], ids=["r>0", "r<0"])
+def test_compiled_combination_raises_where_term_by_term_does(params):
+    # at t = 2e4 a carrier exponent passes the guard, at either sign of r
+    terms = (SolutionTerm(2, 0, 2.0), SolutionTerm(4, -6))
+    f = ComboSolution(BaseCombo(terms), params)
+    with pytest.raises(RangeError, match="guard") as expected:
+        _reference_combo(terms, 2.0e4, 0.3, params)
+    for evaluate in (f, f.partials):
+        with pytest.raises(RangeError) as raised:
+            evaluate(2.0e4, 0.3)
+        assert str(raised.value) == str(expected.value)

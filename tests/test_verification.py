@@ -7,6 +7,7 @@ import pytest
 
 from bachelier_symmetries import symmetry
 from bachelier_symmetries import verification as ver
+from bachelier_symmetries.errors import RangeError
 from bachelier_symmetries.pde_verify import EvalPoint, ResidualReport
 from bachelier_symmetries.symmetry import JetPoint
 
@@ -57,5 +58,21 @@ def test_nan_defect_fails_every_flag(monkeypatch):
     # level it reads "not fixed", which alone would pass the moved rows
     monkeypatch.setattr(ver, "surface_defect", lambda *args: math.nan)
     monkeypatch.setattr(symmetry, "surface_defect", lambda *args: math.nan)
-    measured = _all_fail_on_nan(ver.invariance_flags(), 3)
+    results = ver.invariance_flags()
+    measured = _all_fail_on_nan(results, 3)
+    assert all(math.isnan(m) for m in measured)
+    assert all("defect is NaN" in res.detail for res in results)
+
+
+def test_range_errors_are_nan_samples(monkeypatch):
+    # an overflowing sample is measured, as NaN, instead of ending the run
+    def overflow(*args):
+        raise RangeError("exponent out of range")
+
+    monkeypatch.setattr(ver, "forward_map", overflow)
+    monkeypatch.setattr(ver, "transformed", overflow)
+    monkeypatch.setattr(ver, "surface_defect", overflow)
+    results = (ver.group_laws() + ver.generator_tangency() + ver.reference_reproductions()
+               + ver.invariance_flags())
+    measured = _all_fail_on_nan(results, 19)
     assert all(math.isnan(m) for m in measured)
