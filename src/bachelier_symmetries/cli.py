@@ -9,10 +9,11 @@ Subcommands
     transform  append a group element to an expression and print it back
 
 Exit codes: 0 success, 1 a verify check failed, 2 parse/semantic/usage
-problems (an unwritable --out path too), 3 domain violations (groups 4/5
-out of range), 4 a value outside the float range (an exponent past the
-guard, a squared price or a result that overflows). Standard output
-carries only data; diagnostics go to standard error.
+problems (an unwritable --out path and a non-finite --t, --S, --r or
+--sigma too), 3 domain violations (groups 4/5 out of range), 4 a value
+outside the float range (an exponent past the guard, a squared price or a
+result that overflows). Standard output carries only data; diagnostics go
+to standard error.
 
 A --config file holds flat key=value lines ('#' starts a comment) whose
 keys are the long flags. Config values fill in flags that were not given
@@ -26,7 +27,7 @@ import argparse
 import functools
 import sys
 
-from .errors import DomainError, InvalidParameter, ParseError, RangeError, SemanticError
+from .errors import DomainError, InvalidParameter, ParseError, RangeError, SemanticError, finite_real
 from .pde_verify import GridSpec
 from .solutions import ModelParams
 from .spec_lang import SolutionExpr, expression_function, format_expr, parse_expr, parse_group_element
@@ -34,13 +35,19 @@ from .verification import DEFAULT_PARAMS, SCOPES, run_scope
 
 __all__ = ["main"]
 
+
+def real(text: str) -> float:
+    """A finite real flag value; its name is the type that usage errors report."""
+    return finite_real("value", float(text))
+
+
 # Every long flag, once: its value type and help text. A config file takes
 # the same keys, converted with the same types.
 _FLAGS = {
-    "r": (float, "continuously compounded rate"),
-    "sigma": (float, "absolute volatility (> 0)"),
-    "t": (float, "evaluation time"),
-    "S": (float, "evaluation price"),
+    "r": (real, "continuously compounded rate"),
+    "sigma": (real, "absolute volatility (> 0)"),
+    "t": (real, "evaluation time"),
+    "S": (real, "evaluation price"),
     "expr": (str, "expression text, e.g. '2*C1[0] | G4(0.5)'"),
     "t-range": (str, "time grid LO:HI:N"),
     "S-range": (str, "price grid LO:HI:N"),

@@ -1,10 +1,32 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two input rules.
+
+``finite_real``: an int or a finite float, returned as a float. ``integer``:
+an int or an integral float within the caller's bounds, returned as an int.
+A bool passes neither; anything else raises InvalidParameter naming the field.
+"""
 
 from __future__ import annotations
+
+from sys import float_info
 
 
 class InvalidParameter(ValueError):
     """An argument violates a documented precondition (bad order, zero rate, ...)."""
+
+
+def finite_real(name: str, value) -> float:
+    """The finite-real rule: ``value`` as a float, or InvalidParameter naming ``name``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= float_info.max:
+        return float(value)
+    raise InvalidParameter(f"{name} must be a finite real number, got {value!r}")
+
+
+def integer(name: str, value, lo: float = float("-inf"), hi: float = float("inf")) -> int:
+    """The integer rule: ``value`` as an int in [lo, hi], or InvalidParameter naming ``name``."""
+    n = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(n, int) and not isinstance(n, bool) and lo <= n <= hi:
+        return int(n)
+    raise InvalidParameter(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 class DomainError(ValueError):

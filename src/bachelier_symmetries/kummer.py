@@ -9,7 +9,7 @@ carries the factor (-m)_k = 0, so F(-m, b; u) is a polynomial of degree
 exactly m. The solution families in this package only ever evaluate F at
 such terminating first arguments, so this module implements the polynomial
 case and nothing else; non-integer orders are rejected rather than
-approximated by a series.
+approximated by a series, and so are degrees above MAX_DEGREE = 50.
 
 Everything that depends on (m, b) alone is built, and m and b validated,
 once per pair in one cache, ``_tables(m, b)``: the power-series coefficients
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, integer
 
 __all__ = [
     "pochhammer",
@@ -71,35 +71,25 @@ __all__ = [
     "kummer_truncated_d2u",
 ]
 
+MAX_DEGREE = 50  # the measured envelope; larger tables are refused unbuilt
 # Horner at u <= _RECURRENCE_FROM, the degree recurrence above it
 _RECURRENCE_FROM = 0.5
 
 
 def pochhammer(w: float, k: int) -> float:
-    """Rising factorial (w)_k = w (w+1) ... (w+k-1); the empty product (k=0) is 1."""
-    if isinstance(k, bool) or k != int(k) or k < 0:
-        raise InvalidParameter(f"pochhammer index must be a non-negative integer, got {k!r}")
+    """Rising factorial (w)_k = w (w+1) ... (w+k-1) for k <= MAX_DEGREE; (w)_0 = 1."""
     out = 1.0
-    for j in range(int(k)):
+    for j in range(integer("pochhammer index", k, 0, MAX_DEGREE)):
         out *= w + j
     return out
-
-
-def _checked_order(m) -> int:
-    if isinstance(m, bool) or m != int(m):
-        raise InvalidParameter(f"truncation order must be an integer, got {m!r}")
-    if m < 0:
-        raise InvalidParameter(f"truncation order must be non-negative, got {m}")
-    return int(m)
 
 
 @lru_cache(maxsize=None, typed=True)
 def _tables(m, b: float):
     # (m, F's coefficients from the top degree down, rows (c_k, c'_k, c''_k)
-    # from the top degree down, recurrence steps (n, 2n + b, b + n) for
-    # n < m). typed: True and 2.0 must not hit the entries of 1 and 2, so a
-    # bool order reaches _checked_order; a raised error is not cached
-    m = _checked_order(m)
+    # from the top degree down, recurrence steps (n, 2n + b, b + n) for n < m);
+    # typed, so True meets the integer rule, not 1's entry; errors are not cached
+    m = integer("truncation order", m, 0, MAX_DEGREE)
     coeffs = [1.0]
     for k in range(m):
         if b + k == 0.0:
@@ -143,8 +133,8 @@ def _sweep(table, u: float) -> tuple[float, float, float]:
 def kummer_truncated(m: int, b: float, u: float) -> float:
     """Evaluate F(-m, b; u) as the exact degree-m polynomial (no series tail).
 
-    Raises InvalidParameter when m is not a non-negative integer, or when a
-    denominator factor (b)_k vanishes for some k <= m.
+    Raises InvalidParameter when m is not an integer in [0, MAX_DEGREE], or
+    when a denominator factor (b)_k vanishes for some k <= m.
     """
     return _value(_tables(m, b), u)
 

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import DomainError, InvalidParameter, RangeError
+from .errors import DomainError, InvalidParameter, RangeError, finite_real, integer
 from .solutions import ModelParams
 
 __all__ = [
@@ -61,16 +61,16 @@ class GridSpec:
     nS: int
 
     def __post_init__(self):
-        for name, (lo, hi) in (("t_range", self.t_range), ("S_range", self.S_range)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise InvalidParameter(f"{name} must be a finite (low, high) pair, got ({lo}, {hi})")
-        for name, n in (("nt", self.nt), ("nS", self.nS)):
-            if isinstance(n, bool) or n != int(n) or n < 2:
-                raise InvalidParameter(f"{name} must be an integer >= 2, got {n!r}")
-        object.__setattr__(self, "t_range", (float(self.t_range[0]), float(self.t_range[1])))
-        object.__setattr__(self, "S_range", (float(self.S_range[0]), float(self.S_range[1])))
-        object.__setattr__(self, "nt", int(self.nt))
-        object.__setattr__(self, "nS", int(self.nS))
+        for name in ("t_range", "S_range"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise InvalidParameter(f"{name} must be a (low, high) pair, got {pair!r}")
+            lo, hi = finite_real(name, pair[0]), finite_real(name, pair[1])
+            if not lo < hi:
+                raise InvalidParameter(f"{name} must have low < high, got ({lo}, {hi})")
+            object.__setattr__(self, name, (lo, hi))
+        object.__setattr__(self, "nt", integer("nt", self.nt, lo=2))
+        object.__setattr__(self, "nS", integer("nS", self.nS, lo=2))
 
     def t_points(self) -> list[float]:
         lo, hi = self.t_range

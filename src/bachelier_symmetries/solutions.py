@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from . import kummer
-from .errors import InvalidParameter, RangeError
+from .errors import InvalidParameter, RangeError, finite_real, integer
 from .kummer import _sweep, _value
 # not called here since terms are compiled; bench/tracer.py binds these names
 from .kummer import kummer_truncated, kummer_truncated_du, kummer_truncated_d2u  # noqa: F401
@@ -70,12 +70,6 @@ def safe_exp(x: float) -> float:
     return math.exp(x)
 
 
-def _require_finite(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise InvalidParameter(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Market constants: continuously compounded rate r, absolute volatility sigma.
@@ -89,8 +83,8 @@ class ModelParams:
     sigma: float
 
     def __post_init__(self):
-        r = _require_finite("r", self.r)
-        sigma = _require_finite("sigma", self.sigma)
+        r = finite_real("r", self.r)
+        sigma = finite_real("sigma", self.sigma)
         if sigma <= 0.0 or not 0.0 < sigma * sigma < math.inf:
             raise InvalidParameter(
                 f"sigma must be positive with a nonzero finite square, got {sigma}")
@@ -109,14 +103,12 @@ class SolutionTerm:
     coeff: float = 1.0
 
     def __post_init__(self):
-        if self.class_q not in (1, 2, 3, 4):
-            raise InvalidParameter(f"class index must be in 1..4, got {self.class_q!r}")
-        n = self.order_n
-        if isinstance(n, bool) or n != int(n) or n > 0 or int(n) % 2 != 0:
-            raise InvalidParameter(
-                f"order must be 0 or a negative even integer, got {n!r}")
-        object.__setattr__(self, "order_n", int(n))
-        object.__setattr__(self, "coeff", _require_finite("coeff", self.coeff))
+        object.__setattr__(self, "class_q", integer("class index", self.class_q, 1, 4))
+        n = integer("order", self.order_n, hi=0)
+        if n % 2:
+            raise InvalidParameter(f"order must be 0 or a negative even integer, got {n}")
+        object.__setattr__(self, "order_n", n)
+        object.__setattr__(self, "coeff", finite_real("coeff", self.coeff))
 
     @property
     def degree(self) -> int:

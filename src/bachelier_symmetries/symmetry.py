@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, NamedTuple
 
-from .errors import DomainError, InvalidParameter, RangeError
+from .errors import DomainError, InvalidParameter, RangeError, finite_real, integer
 from .pde_verify import worst_case
 from .solutions import (
     ModelParams,
@@ -82,12 +82,8 @@ class GroupElement:
     epsilon: float
 
     def __post_init__(self):
-        if self.gen_index not in (1, 2, 3, 4, 5, 6):
-            raise InvalidParameter(f"generator index must be in 1..6, got {self.gen_index!r}")
-        eps = self.epsilon
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not math.isfinite(eps):
-            raise InvalidParameter(f"group parameter must be a finite real, got {eps!r}")
-        object.__setattr__(self, "epsilon", float(eps))
+        object.__setattr__(self, "gen_index", integer("generator index", self.gen_index, 1, 6))
+        object.__setattr__(self, "epsilon", finite_real("group parameter", self.epsilon))
 
 
 class JetPoint(NamedTuple):
@@ -314,8 +310,7 @@ def chain_function(
 
 def generator_eval(i: int, jp: JetPoint, params: ModelParams) -> GeneratorComponents:
     """Components of the i-th symmetry vector field at a jet point."""
-    if i not in (1, 2, 3, 4, 5, 6):
-        raise InvalidParameter(f"generator index must be in 1..6, got {i!r}")
+    i = integer("generator index", i, 1, 6)
     t, S, C = jp
     r, sigma = params.r, params.sigma
     if i == 1:

@@ -91,6 +91,19 @@ class TestEval:
         assert code == 4 and out == ""
         assert err.startswith("range error:") and "not finite" in err
 
+    @pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--S", "inf"), ("--S", "1e400"),
+                                             ("--r", "nan"), ("--sigma", "-inf")])
+    def test_non_finite_value_is_usage_error(self, capsys, flag, value):
+        point = {"--t": "0", "--S": "1", flag: value}
+        code, out, err = run(capsys, "eval", "--expr", "C1[0]", *sum(point.items(), ()))
+        assert code == 2 and out == ""
+        assert f"argument {flag}: invalid real value: '{value}'" in err
+
+    def test_order_past_the_degree_envelope_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--expr", "C1[-2000000000]", "--t", "0", "--S", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: truncation order")
+
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "nodir" / "x.txt"
         code, out, err = run(capsys, "eval", "--expr", "C1[0]", "--t", "0", "--S", "1",
@@ -298,6 +311,13 @@ class TestConfig:
         code, _, err = run(capsys, "eval", "--config", str(cfg),
                            "--expr", "C1[0]", "--t", "0", "--S", "1")
         assert code == 2 and re.search(r"\br\b", err) and "'abc'" in err
+
+    def test_non_finite_number_names_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("expr=C1[0]\nt=0\nS=nan\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: config key S: invalid real value 'nan'\n"
 
     def test_unknown_scope_lists_scopes(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

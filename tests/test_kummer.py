@@ -35,6 +35,11 @@ class TestPochhammer:
         with pytest.raises(InvalidParameter):
             pochhammer(1.0, -1)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 1e300])
+    def test_rejects_non_finite_or_huge_index(self, k):
+        with pytest.raises(InvalidParameter):
+            pochhammer(1.0, k)
+
 
 class TestValues:
     def test_degree_zero_is_one(self):
@@ -160,6 +165,18 @@ class TestValidation:
     def test_negative_order_rejected(self):
         with pytest.raises(InvalidParameter):
             kummer_truncated(-1, 0.5, 1.0)
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_non_finite_order_rejected(self, m):
+        with pytest.raises(InvalidParameter):
+            kummer_truncated(m, 0.5, 1.0)
+
+    def test_degree_past_the_envelope_rejected_before_a_table_is_built(self):
+        kummer_truncated(kummer.MAX_DEGREE, 0.5, 1.0)
+        with pytest.raises(InvalidParameter):
+            kummer_truncated(kummer.MAX_DEGREE + 1, 0.5, 1.0)
+        with pytest.raises(InvalidParameter):
+            ComboSolution(SolutionTerm(1, -2_000_000_000), DEFAULT_PARAMS)
 
     @pytest.mark.parametrize("fn", [kummer_truncated, kummer_truncated_du, kummer_truncated_d2u])
     def test_bool_order_rejected_after_integer_cached(self, fn):

@@ -38,6 +38,10 @@ class TestGridSpec:
         dict(t_range=(0.0, 1.0), S_range=(1.0, 1.0), nt=3, nS=3),
         dict(t_range=(0.0, 1.0), S_range=(-1.0, 1.0), nt=1, nS=3),
         dict(t_range=(0.0, 1.0), S_range=(-1.0, 1.0), nt=3, nS=0),
+        dict(t_range=(0.0, 1.0), S_range=(-1.0, 1.0), nt=math.inf, nS=3),
+        dict(t_range=(0.0, 1.0), S_range=(-1.0, 1.0), nt=math.nan, nS=3),
+        dict(t_range=(0.0, 1.0, 2.0), S_range=(-1.0, 1.0), nt=3, nS=3),
+        dict(t_range=("a", "b"), S_range=(-1.0, 1.0), nt=3, nS=3),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameter):

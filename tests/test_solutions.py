@@ -35,7 +35,7 @@ class TestModelParams:
 
     @pytest.mark.parametrize("r,sigma", [(0.0, 0.2), (0.05, 0.0), (0.05, -0.1),
                                          (float("nan"), 0.2), (0.05, float("inf")),
-                                         (0.05, 1e200), (0.05, 1e-170)])
+                                         (0.05, 1e200), (0.05, 1e-170), (10**400, 0.2)])
     def test_rejects_bad_values(self, r, sigma):
         with pytest.raises(InvalidParameter):
             ModelParams(r, sigma)
@@ -46,7 +46,8 @@ class TestSolutionTerm:
     def test_valid_orders(self, n):
         assert SolutionTerm(1, n).order_n == n
 
-    @pytest.mark.parametrize("q,n", [(0, 0), (5, 0), (1, 1), (1, -3), (1, 2), (1, 0.5)])
+    @pytest.mark.parametrize("q,n", [(0, 0), (5, 0), (1, 1), (1, -3), (1, 2), (1, 0.5),
+                                     (1, math.inf), (1, math.nan), (True, 0)])
     def test_invalid_terms(self, q, n):
         with pytest.raises(InvalidParameter):
             SolutionTerm(q, n)

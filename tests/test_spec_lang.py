@@ -104,6 +104,11 @@ class TestFormatting:
             BaseCombo((SolutionTerm(2, -4, -2.5), SolutionTerm(3, 0, 0.1))), ())
         assert format_expr(expr) == "-2.5*C2[-4] + 0.1*C3[0]"
 
+    def test_integral_float_indices_are_stored_as_integers(self):
+        expr = SolutionExpr(BaseCombo((SolutionTerm(1.0, -2.0),)), (GroupElement(2.0, 0.1),))
+        assert format_expr(expr) == "1*C1[-2] | G2(0.1)"
+        assert parse_expr(format_expr(expr)) == expr
+
     @pytest.mark.parametrize("text", [
         "C1[0]",
         "2*C1[0] + 5*C1[-2] | G3(0.1)",

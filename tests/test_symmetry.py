@@ -43,6 +43,10 @@ class TestGroupElement:
         with pytest.raises(InvalidParameter):
             GroupElement(7, 0.1)
 
+    def test_rejects_bool_index(self):
+        with pytest.raises(InvalidParameter):
+            GroupElement(True, 0.1)
+
     def test_rejects_non_finite_parameter(self):
         with pytest.raises(InvalidParameter):
             GroupElement(1, float("nan"))
@@ -280,6 +284,10 @@ class TestGenerators:
     def test_rejects_bad_index(self):
         with pytest.raises(InvalidParameter):
             generator_eval(0, JetPoint(0.0, 0.0, 0.0), P)
+
+    def test_rejects_bool_index(self):
+        with pytest.raises(InvalidParameter):
+            generator_eval(True, JetPoint(0.0, 0.0, 0.0), P)
 
     @pytest.mark.parametrize("i", range(1, 7))
     def test_tangent_to_flow(self, i):
