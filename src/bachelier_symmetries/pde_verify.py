@@ -16,17 +16,18 @@ Residuals are reported normalised by the largest magnitude among the four
 PDE terms, floored at 1, so solutions passing through zero are still
 checked meaningfully and a true solution scores ~1e-15 regardless of its
 overall scale. A scan reports the largest normalised residual and where it
-occurred. Every check in the package reduces its measurements with
-``worst_case``, so a NaN measurement (a scan point that raises RangeError
-scores one) fails every check. Finite differences take one fixed step per
-coordinate, ``default_step``.
+occurred. Every check in the package draws its measurements through
+``sampled``, the one sample rule, and reduces them with ``worst_case``, so
+a NaN measurement fails every check. Finite differences take one fixed
+step per coordinate, ``default_step``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from itertools import product
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InvalidParameter, RangeError, finite_real, integer
 from .solutions import ModelParams
@@ -40,6 +41,7 @@ __all__ = [
     "residual_from_partials",
     "residual_fd",
     "residual_scan",
+    "sampled",
     "worst_case",
 ]
 
@@ -115,6 +117,22 @@ def worst_case(values: Iterable[float]) -> float:
     return worst
 
 
+def sampled(measure: Callable[..., float], points: Iterable[tuple]) -> Iterator[tuple]:
+    """The sample rule: (point, measure(*point)) for each point, lazily.
+
+    A point whose measurement raises DomainError (outside a group's domain)
+    is skipped; one that raises RangeError (it left the float range) scores NaN.
+    """
+    for point in points:
+        try:
+            value = measure(*point)
+        except DomainError:
+            continue
+        except RangeError:
+            value = math.nan
+        yield point, value
+
+
 def default_step(x: float) -> float:
     """The finite-difference step at x: 1e-3 scaled by max(1, |x|)."""
     return 1e-3 * max(1.0, abs(x))
@@ -183,9 +201,8 @@ def residual_scan(
     mode "analytic" requires f to expose exact partials via a
     ``partials(t, S)`` method; combo-backed solutions do, and so do
     pipelines over them (``chain_function``, ``transformed``). mode "fd"
-    works on any callable. Points where the evaluation raises DomainError
-    are skipped and counted as failures; a point where it raises
-    RangeError scores a NaN residual.
+    works on any callable. Points are drawn through ``sampled``: a skipped
+    point counts as a failure.
 
     The scan is a deterministic row-major sweep (t outer, S inner), so
     reports are reproducible; f may also be evaluated concurrently by
@@ -193,30 +210,25 @@ def residual_scan(
     scanner itself stays sequential. The worst point is the first one with
     the largest residual, or the first with a NaN residual.
     """
-    if mode not in ("analytic", "fd"):
+    if mode == "analytic":
+        if not hasattr(f, "partials"):
+            raise InvalidParameter(
+                "analytic mode needs exact partials via partials(t, S); "
+                "scan other callables with mode='fd'")
+
+        def residual(t: float, S: float) -> float:
+            c, c_t, c_s, c_ss = f.partials(t, S)
+            return residual_from_partials(c, c_t, c_s, c_ss, S, params)[1]
+    elif mode == "fd":
+        def residual(t: float, S: float) -> float:
+            return residual_fd(f, t, S, params)[1]
+    else:
         raise InvalidParameter(f"mode must be 'analytic' or 'fd', got {mode!r}")
-    if mode == "analytic" and not hasattr(f, "partials"):
-        raise InvalidParameter(
-            "analytic mode needs exact partials via partials(t, S); "
-            "scan other callables with mode='fd'")
-    worst = -1.0
-    worst_point = None
-    failures = 0
-    for t in grid.t_points():
-        for S in grid.S_points():
-            try:
-                if mode == "analytic":
-                    c, c_t, c_s, c_ss = f.partials(t, S)
-                    _, normalized = residual_from_partials(c, c_t, c_s, c_ss, S, params)
-                else:
-                    _, normalized = residual_fd(f, t, S, params)
-            except DomainError:
-                failures += 1
-                continue
-            except RangeError:
-                normalized = math.nan
-            if _worse(normalized, worst):
-                worst = normalized
-                worst_point = EvalPoint(t, S)
-    evaluated = grid.nt * grid.nS - failures
-    return ResidualReport(worst if evaluated else 0.0, worst_point, failures, evaluated)
+    worst, worst_point, evaluated = -1.0, None, 0
+    for point, normalized in sampled(residual, product(grid.t_points(), grid.S_points())):
+        evaluated += 1
+        if _worse(normalized, worst):
+            worst = normalized
+            worst_point = EvalPoint(*point)
+    return ResidualReport(worst if evaluated else 0.0, worst_point,
+                          grid.nt * grid.nS - evaluated, evaluated)

@@ -104,7 +104,7 @@ class SolutionTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "class_q", integer("class index", self.class_q, 1, 4))
-        n = integer("order", self.order_n, hi=0)
+        n = integer("order", self.order_n, lo=-2 * kummer.MAX_DEGREE, hi=0)
         if n % 2:
             raise InvalidParameter(f"order must be 0 or a negative even integer, got {n}")
         object.__setattr__(self, "order_n", n)

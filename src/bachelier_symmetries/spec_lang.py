@@ -19,7 +19,7 @@ members pushed through group 3 at parameter 0.1.
 
 Syntax problems raise ParseError with a byte offset and the set of tokens
 expected there. Structurally valid text whose class digit is outside 1..4,
-whose bracketed order is not 0 or a negative even integer, or whose group
+whose bracketed order is not an even integer in [-2 MAX_DEGREE, 0], or whose group
 digit is outside 1..6 raises SemanticError instead, also with an offset.
 Model parameters are deliberately not part of the text: one recipe gets
 priced under many parameter sets, so they travel separately.
@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, SemanticError
+from .kummer import MAX_DEGREE
 from .solutions import BaseCombo, ModelParams, SolutionTerm, ComboSolution
 from .symmetry import GroupElement, chain_function
 
@@ -137,8 +138,8 @@ def _parse_term(sc: _Scanner, negate: bool) -> SolutionTerm:
         raise SemanticError(q_offset, f"class index must be 1..4, got {class_q}")
     sc.expect("[")
     order, n_offset = sc.take_integer()
-    if order > 0 or order % 2 != 0:
-        raise SemanticError(n_offset, f"order must be 0 or a negative even integer, got {order}")
+    if not -2 * MAX_DEGREE <= order <= 0 or order % 2:
+        raise SemanticError(n_offset, f"order must be even in [{-2 * MAX_DEGREE}, 0], got {order}")
     sc.expect("]")
     return SolutionTerm(class_q, order, -coeff if negate else coeff)
 

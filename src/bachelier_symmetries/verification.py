@@ -24,12 +24,10 @@ Suites and their scopes:
 Suite sizes and seeds are fixed (SAMPLES jet points per group, TRIPLES
 (t, S, eps) triples per hand-coded family, EXPRESSIONS random expressions,
 one literal seed per sampled suite), so repeated runs print identical
-reports. Every suite reduces its measurements with ``worst_case``, so a NaN
-fails its check: a threshold check passes when its worst case is at most
-its tolerance, and the fixed/moved flags compare a flag instead. A sample
-whose evaluation leaves the float range (RangeError) is measured as NaN,
-so it fails its row and the run still prints every row; a sample outside a
-group's domain (DomainError) is skipped.
+reports. Every suite reduces its measurements with ``worst_case``, the
+sampled ones drawn through ``pde_verify.sampled``, so an overflow fails its
+row and the run still prints every row. A threshold check passes when its
+worst case is at most its tolerance; the fixed/moved flags compare a flag.
 """
 
 from __future__ import annotations
@@ -37,11 +35,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from . import reference_forms
-from .errors import DomainError, InvalidParameter, ParseError, RangeError, SemanticError
+from .errors import InvalidParameter, ParseError, RangeError, SemanticError
 from .kummer import kummer_truncated, kummer_truncated_du, pochhammer
-from .pde_verify import GridSpec, residual_scan, worst_case
+from .pde_verify import GridSpec, residual_scan, sampled, worst_case
 from .solutions import BaseCombo, ComboSolution, ModelParams, SolutionTerm
 from .spec_lang import SolutionExpr, format_expr, parse_expr
 from .symmetry import (
@@ -112,6 +111,11 @@ def _check(name: str, measured: float, tolerance: float, detail: str) -> CheckRe
     return CheckResult(name, measured <= tolerance, measured, tolerance, detail)
 
 
+def _worst_sampled(measure, draws, n: int | None = None) -> float:
+    """worst_case over the first n measurements ``sampled`` takes from draws; all for None."""
+    return worst_case(value for _, value in islice(sampled(measure, draws), n))
+
+
 def base_terms() -> list[SolutionTerm]:
     """All (class, order) members used by the residual and closure suites."""
     return [SolutionTerm(q, n) for q in (1, 2, 3, 4) for n in BASE_ORDERS]
@@ -177,33 +181,21 @@ def _rel_dev(x: float, y: float) -> float:
 def group_laws(params: ModelParams = DEFAULT_PARAMS) -> list[CheckResult]:
     """Exact identity at eps = 0 plus parameter additivity per group."""
     rng = random.Random(61803)
-    mismatches = []
+    jets = [(gi, _random_jet(rng)) for gi in range(1, 7)]
+    mismatch = _worst_sampled(
+        lambda gi, jp: float(forward_map(GroupElement(gi, 0.0), jp, params) != jp), jets)
+    results = [_check("identity_at_eps0", mismatch, 0.0, "bitwise equality on all six groups")]
     for gi in range(1, 7):
-        jp = _random_jet(rng)
-        try:
-            mismatches.append(float(forward_map(GroupElement(gi, 0.0), jp, params) != jp))
-        except RangeError:
-            mismatches.append(math.nan)
-    results = [_check("identity_at_eps0", worst_case(mismatches), 0.0,
-                      "bitwise equality on all six groups")]
-    for gi in range(1, 7):
-        devs = []
-        while len(devs) < SAMPLES:
-            jp = _random_jet(rng)
-            eps1 = rng.uniform(-0.4, 0.4)
-            eps2 = rng.uniform(-0.4, 0.4)
-            try:
-                step = forward_map(GroupElement(gi, eps1), jp, params)
-                composed = forward_map(GroupElement(gi, eps2), step, params)
-                direct = forward_map(GroupElement(gi, eps1 + eps2), jp, params)
-            except DomainError:
-                continue
-            except RangeError:
-                devs.append(math.nan)
-                continue
-            devs.append(worst_case(map(_rel_dev, composed, direct)))
-        results.append(_check(f"additivity_G{gi}", worst_case(devs), TOL_ADDITIVITY,
-                              f"{SAMPLES} random samples"))
+        def deviation(jp: JetPoint, eps1: float, eps2: float) -> float:
+            step = forward_map(GroupElement(gi, eps1), jp, params)
+            composed = forward_map(GroupElement(gi, eps2), step, params)
+            direct = forward_map(GroupElement(gi, eps1 + eps2), jp, params)
+            return worst_case(map(_rel_dev, composed, direct))
+
+        draws = iter(lambda: (_random_jet(rng), rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)),
+                     None)
+        results.append(_check(f"additivity_G{gi}", _worst_sampled(deviation, draws, SAMPLES),
+                              TOL_ADDITIVITY, f"{SAMPLES} random samples"))
     return results
 
 
@@ -219,19 +211,16 @@ def generator_tangency(params: ModelParams = DEFAULT_PARAMS) -> list[CheckResult
     results = []
     for i in range(1, 7):
         orient = FLOW_ORIENTATION[i - 1]
-        devs = []
-        for _ in range(SAMPLES):
-            jp = _random_jet(rng)
-            try:
-                plus = forward_map(GroupElement(i, h), jp, params)
-                minus = forward_map(GroupElement(i, -h), jp, params)
-                exact = generator_eval(i, jp, params)
-            except RangeError:
-                devs.append(math.nan)
-                continue
-            devs.extend(abs((a - b) / (2.0 * h) - orient * e) / max(1.0, abs(e))
-                        for a, b, e in zip(plus, minus, exact))
-        results.append(_check(f"tangency_G{i}", worst_case(devs), TOL_TANGENCY,
+
+        def deviation(jp: JetPoint) -> float:
+            plus = forward_map(GroupElement(i, h), jp, params)
+            minus = forward_map(GroupElement(i, -h), jp, params)
+            exact = generator_eval(i, jp, params)
+            return worst_case(abs((a - b) / (2.0 * h) - orient * e) / max(1.0, abs(e))
+                              for a, b, e in zip(plus, minus, exact))
+
+        jets = [(_random_jet(rng),) for _ in range(SAMPLES)]
+        results.append(_check(f"tangency_G{i}", _worst_sampled(deviation, jets), TOL_TANGENCY,
                               f"orientation {orient:+.0f}, {SAMPLES} jet points, step {h:g}"))
     return results
 
@@ -255,21 +244,14 @@ def reference_reproductions(params: ModelParams = DEFAULT_PARAMS) -> list[CheckR
     ]
     results = []
     for name, gi, base, oracle in cases:
-        devs = []
-        while len(devs) < TRIPLES:
-            t = rng.uniform(0.0, 1.0)
-            s = rng.choice((-1.0, 1.0)) * rng.uniform(0.25, 2.0)
-            eps = rng.uniform(-0.4, 0.4)
-            try:
-                direct = oracle(t, s, eps, params)
-                routed = transformed(GroupElement(gi, -eps), base, params)(t, s)
-            except DomainError:
-                continue
-            except RangeError:
-                devs.append(math.nan)
-                continue
-            devs.append(_rel_dev(direct, routed))
-        results.append(_check(name, worst_case(devs), TOL_REPRODUCTION,
+        def deviation(t: float, s: float, eps: float) -> float:
+            return _rel_dev(oracle(t, s, eps, params),
+                            transformed(GroupElement(gi, -eps), base, params)(t, s))
+
+        draws = iter(lambda: (rng.uniform(0.0, 1.0),
+                              rng.choice((-1.0, 1.0)) * rng.uniform(0.25, 2.0),
+                              rng.uniform(-0.4, 0.4)), None)
+        results.append(_check(name, _worst_sampled(deviation, draws, TRIPLES), TOL_REPRODUCTION,
                               f"{TRIPLES} sampled (t, S, eps) triples"))
     return results
 

@@ -102,7 +102,7 @@ class TestEval:
     def test_order_past_the_degree_envelope_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "--expr", "C1[-2000000000]", "--t", "0", "--S", "1")
         assert code == 2 and out == ""
-        assert err.startswith("error: truncation order")
+        assert err.startswith("error: offset 3: order must be even in [-100, 0]")
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "nodir" / "x.txt"
@@ -231,9 +231,11 @@ class TestVerify:
         assert len(lines) == 7 and lines[-1] == "# 0/6 checks passed"
         assert all(line.startswith("FAIL") and "measured=nan" in line for line in lines[:-1])
 
-    def test_overflowing_rate_prints_every_row_of_the_referee(self, capsys):
-        # one parameter set: 21 theorem1 rows, then 12 + 13 + 6 + 4 + 2
-        code, out, _ = run(capsys, "verify", "--scope", "all", "--r", "1e300")
+    @pytest.mark.parametrize("rate", ["1e300", "6"])
+    def test_overflowing_rate_prints_every_row_of_the_referee(self, capsys, rate):
+        # one parameter set: 21 theorem1 rows, then 12 + 13 + 6 + 4 + 2; at
+        # r = 6 the G4/G5 tangency steps also leave their domains
+        code, out, _ = run(capsys, "verify", "--scope", "all", "--r", rate)
         assert code == 1
         lines = out.splitlines()
         assert len(lines) == 59 and lines[-1].endswith("/58 checks passed")
@@ -255,6 +257,10 @@ class TestTransform:
     def test_bad_group_index(self, capsys):
         code, _, err = run(capsys, "transform", "--expr", "C1[0]", "G7(0.1)")
         assert code == 2 and "group index" in err
+
+    def test_order_past_the_kummer_bound(self, capsys):
+        code, out, err = run(capsys, "transform", "--expr", "C1[-200]", "G1(0.1)")
+        assert code == 2 and out == "" and "-200" in err
 
 
 class TestConfig:

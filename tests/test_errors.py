@@ -29,8 +29,8 @@ GUARDED = {
     "GroupElement": (GroupElement, (VALUE, VALUE), ("gen_index",)),
     "generator_eval": (lambda i: generator_eval(i, JetPoint(0.1, 0.5, 1.0), P), (VALUE,), ()),
     "GridSpec": (GridSpec, (PAIR, PAIR, VALUE, VALUE), ("nt", "nS")),
-    "kummer_truncated": (lambda m: kummer_truncated(m, 0.5, 0.3), (VALUE,), ()),
-    "pochhammer": (lambda k: pochhammer(1.5, k), (VALUE,), ()),
+    "kummer_truncated": (lambda m, b: kummer_truncated(m, b, 0.3), (VALUE, VALUE), ()),
+    "pochhammer": (pochhammer, (VALUE, VALUE), ()),
 }
 
 

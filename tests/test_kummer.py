@@ -40,6 +40,11 @@ class TestPochhammer:
         with pytest.raises(InvalidParameter):
             pochhammer(1.0, k)
 
+    @pytest.mark.parametrize("w", [math.nan, -math.inf, None])
+    def test_rejects_non_finite_argument(self, w):
+        with pytest.raises(InvalidParameter):
+            pochhammer(w, 3)
+
 
 class TestValues:
     def test_degree_zero_is_one(self):
@@ -189,6 +194,16 @@ class TestValidation:
 
     def test_integral_float_order_accepted(self):
         assert kummer_truncated(2.0, 0.5, 0.7) == kummer_truncated(2, 0.5, 0.7)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, None, "0.5", True])
+    def test_b_not_a_finite_real_rejected(self, b):
+        with pytest.raises(InvalidParameter):
+            kummer_truncated(2, b, 0.3)
+
+    def test_table_cache_is_bounded(self):
+        for k in range(2 * kummer.TABLE_CACHE_SIZE):
+            kummer_truncated(3, 0.5 + k / 7, 0.3)
+        assert kummer._tables.cache_info().currsize <= kummer.TABLE_CACHE_SIZE
 
     def test_rejected_order_raises_again(self):
         for _ in range(2):

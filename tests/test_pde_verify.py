@@ -14,6 +14,7 @@ from bachelier_symmetries.pde_verify import (
     residual_fd,
     residual_from_partials,
     residual_scan,
+    sampled,
     worst_case,
 )
 from bachelier_symmetries.solutions import ComboSolution, ModelParams, SolutionTerm
@@ -220,6 +221,20 @@ class TestResidualScan:
         assert math.isnan(report.max_normalized)
         assert report.worst_point == EvalPoint(0.0, 0.0)
         assert report.evaluated == 9 and report.failures == 0
+
+
+def test_sampled_skips_domain_errors_and_scores_range_errors_nan():
+    def measure(t, S):
+        if t == 1.0:
+            raise DomainError("outside the domain")
+        if t == 2.0:
+            raise RangeError("overflow")
+        return t + S
+
+    points = [(0.0, 0.5), (1.0, 0.5), (2.0, 0.5), (3.0, 0.5)]
+    out = list(sampled(measure, points))
+    assert [point for point, _ in out] == [(0.0, 0.5), (2.0, 0.5), (3.0, 0.5)]
+    assert out[0][1] == 0.5 and math.isnan(out[1][1]) and out[2][1] == 3.5
 
 
 class TestWorstCase:

@@ -42,12 +42,12 @@ class TestModelParams:
 
 
 class TestSolutionTerm:
-    @pytest.mark.parametrize("n", [0, -2, -4, -10, -50])
+    @pytest.mark.parametrize("n", [0, -2, -4, -10, -50, -100])
     def test_valid_orders(self, n):
         assert SolutionTerm(1, n).order_n == n
 
     @pytest.mark.parametrize("q,n", [(0, 0), (5, 0), (1, 1), (1, -3), (1, 2), (1, 0.5),
-                                     (1, math.inf), (1, math.nan), (True, 0)])
+                                     (1, math.inf), (1, math.nan), (True, 0), (1, -102)])
     def test_invalid_terms(self, q, n):
         with pytest.raises(InvalidParameter):
             SolutionTerm(q, n)

@@ -83,6 +83,11 @@ class TestErrors:
             parse_expr("C1[7]")
         assert info.value.offset == 3
 
+    def test_order_past_the_kummer_bound_points_at_order(self):
+        with pytest.raises(SemanticError) as info:
+            parse_expr("C1[-102]")
+        assert info.value.offset == 3
+
     def test_offsets_are_byte_offsets(self):
         with pytest.raises(ParseError) as info:
             parse_expr("C1[0] ⊕ C2[0]")

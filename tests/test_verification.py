@@ -9,6 +9,7 @@ from bachelier_symmetries import symmetry
 from bachelier_symmetries import verification as ver
 from bachelier_symmetries.errors import RangeError
 from bachelier_symmetries.pde_verify import EvalPoint, ResidualReport
+from bachelier_symmetries.solutions import ModelParams
 from bachelier_symmetries.symmetry import JetPoint
 
 NAN_JET = JetPoint(math.nan, math.nan, math.nan)
@@ -19,6 +20,12 @@ NAN_JET = JetPoint(math.nan, math.nan, math.nan)
 ])
 def test_sampled_suite_is_deterministic(suite):
     assert suite() == suite()
+
+
+@pytest.mark.parametrize("r", [6.0, -6.0])
+def test_a_large_rate_prints_every_group_row(r):
+    # the G4/G5 tangency steps at eps = +/-1e-5 leave the domain for |r| > ~5.8
+    assert len(ver.run_scope("groups", ModelParams(r, 0.2))) == 13
 
 
 def _all_fail_on_nan(results, count):
