@@ -37,7 +37,6 @@ __all__ = [
     "GridSpec",
     "ResidualReport",
     "default_step",
-    "derivative_richardson",
     "residual_from_partials",
     "residual_fd",
     "residual_scan",
@@ -136,14 +135,6 @@ def sampled(measure: Callable[..., float], points: Iterable[tuple]) -> Iterator[
 def default_step(x: float) -> float:
     """The finite-difference step at x: 1e-3 scaled by max(1, |x|)."""
     return 1e-3 * max(1.0, abs(x))
-
-
-def derivative_richardson(func: Callable[[float], float], x: float) -> float:
-    """d/dx func at x: central difference at step default_step(x), one Richardson step."""
-    h = default_step(x)
-    coarse = (func(x + h) - func(x - h)) / (2.0 * h)
-    fine = (func(x + 0.5 * h) - func(x - 0.5 * h)) / h
-    return (4.0 * fine - coarse) / 3.0
 
 
 def residual_from_partials(

@@ -29,13 +29,14 @@ hand-written vector fields of `generator_eval`.
 A group element maps solution graphs to solution graphs. `pullback_chain`
 materialises the mapped graph as a function again: it walks the point back
 through the pipeline, reading each stage's record at -eps, evaluates the
-original solution at the pre-image, and multiplies by e^{-k} per stage,
-because e^{k_eps(t0, S0)} = e^{-k_{-eps}(t', S')}. `chain_function` binds
-that into a callable whose `partials` apply the chain rule to the same
-records, so transported solutions have exact partials. G_4 and G_5 involve a
-logarithm and a square root, so both directions carry per-point domain
-conditions; there is no global admissible parameter range, the check
-happens at each evaluation. A failed pre-image raises DomainError with the
+original solution at the pre-image, and multiplies by one e^{-K} for the sum
+K of the stages' k, because e^{k_eps(t0, S0)} = e^{-k_{-eps}(t', S')}. The
+exponent guard judges K alone: G6(a) | G6(b) fares as G6(a + b).
+`chain_function` binds that into a callable whose `partials` apply the chain
+rule to the same records, so transported solutions have exact partials. G_4
+and G_5 involve a logarithm and a square root, so both directions carry
+per-point domain conditions, checked at each evaluation: there is no global
+admissible parameter range. A failed pre-image raises DomainError with the
 pipeline stage it failed at and the message prefix "pipeline stage i: ".
 """
 
@@ -208,12 +209,13 @@ def transformed(
 
 
 def _pull_back(stages, t, S, params):
-    """The pre-image of (t, S) under the pipeline, and the records on the way.
+    """The pre-image of (t, S) under the pipeline, the sum of its k, and the records.
 
     Walks from the last stage to the first, reading each stage's record at
     -eps at the current point; identity stages are skipped. A DomainError is
     re-raised with the failing stage's zero-based index attached.
     """
+    log_factor = 0.0
     records = []
     for idx in range(len(stages) - 1, -1, -1):
         g = stages[idx]
@@ -225,8 +227,9 @@ def _pull_back(stages, t, S, params):
             raise DomainError(f"pipeline stage {idx}: no pre-image under "
                               f"G{g.gen_index}({g.epsilon!r}): {err}", stage=idx) from err
         t, S = record[0], record[1]
+        log_factor += record[2]
         records.append(record)
-    return t, S, records
+    return t, S, log_factor, records
 
 
 def _finite(values, t, S):
@@ -245,18 +248,15 @@ def pullback_chain(
 ) -> float:
     """Left-to-right composition of pullbacks: the first element acts on f first.
 
-    The value is f at the pipeline's pre-image of (t, S), times e^{-k} for
-    each stage's record k read at -eps, since e^{k_eps(t0, S0)} =
-    e^{-k_{-eps}(t', S')}. An empty pipeline evaluates f itself. A
-    DomainError raised while inverting some stage carries that stage's
-    zero-based index. Stage factors that pass the exponent guard one by one
-    can still overflow together; a non-finite value raises RangeError.
+    The value is f at the pipeline's pre-image of (t, S), times one e^{-K}
+    for the sum K of the stages' records k read at -eps, since
+    e^{k_eps(t0, S0)} = e^{-k_{-eps}(t', S')}. An empty pipeline evaluates f
+    itself. A DomainError raised while inverting some stage carries that
+    stage's zero-based index. A summed log factor beyond the exponent guard,
+    or a non-finite value, raises RangeError.
     """
-    t0, S0, records = _pull_back(tuple(pipeline), t, S, params)
-    value = f(t0, S0)
-    for record in reversed(records):
-        value *= safe_exp(-record[2])
-    return _finite((value,), t, S)[0]
+    t0, S0, log_factor, _ = _pull_back(tuple(pipeline), t, S, params)
+    return _finite((f(t0, S0) * safe_exp(-log_factor),), t, S)[0]
 
 
 class _Transported:
@@ -264,9 +264,9 @@ class _Transported:
 
     Calls evaluate ``pullback_chain``. ``partials(t, S)`` returns exact
     (C, C_t, C_S, C_SS): the base's partials at the pre-image, carried
-    through each stage by the chain rule on its record. It needs a base
-    that has ``partials`` itself and raises InvalidParameter otherwise, and
-    like ``pullback_chain`` it raises RangeError on a non-finite result.
+    through each stage by the chain rule on its record, then times e^{-K}.
+    It needs a base that has ``partials`` and raises InvalidParameter
+    otherwise, and RangeError on a non-finite result.
     """
 
     __slots__ = ("stages", "base", "params")
@@ -284,19 +284,18 @@ class _Transported:
         if base_partials is None:
             raise InvalidParameter(
                 "exact partials of a transported solution need a base with partials(t, S)")
-        t0, S0, records = _pull_back(self.stages, t, S, self.params)
+        t0, S0, log_factor, records = _pull_back(self.stages, t, S, self.params)
         c, c_t, c_s, c_ss = base_partials(t0, S0)
-        # C'(t', S') = E c(t0, S0) with E = e^{-k}, (t0, S0) = G(-eps)(t', S')
-        # and every derivative below taken along the -eps record
-        for _, _, k, d_t, A, d_s, k_t, k_S, k_SS in reversed(records):
-            E = safe_exp(-k)
-            c, c_t, c_s, c_ss = (
-                E * c,
-                E * (d_t * c_t + d_s * c_s - k_t * c),
-                E * (A * c_s - k_S * c),
-                E * (A * A * c_ss - 2.0 * k_S * A * c_s + (k_S * k_S - k_SS) * c),
+        # C'(t', S') = e^{-k} c(t0, S0), (t0, S0) = G(-eps)(t', S'), derivatives
+        # along the -eps record; linear in c, so the e^{-k} leave as one e^{-K}
+        for _, _, _, d_t, A, d_s, k_t, k_S, k_SS in reversed(records):
+            c_t, c_s, c_ss = (
+                d_t * c_t + d_s * c_s - k_t * c,
+                A * c_s - k_S * c,
+                A * A * c_ss - 2.0 * k_S * A * c_s + (k_S * k_S - k_SS) * c,
             )
-        return _finite((c, c_t, c_s, c_ss), t, S)
+        E = safe_exp(-log_factor)
+        return _finite((E * c, E * c_t, E * c_s, E * c_ss), t, S)
 
 
 def chain_function(

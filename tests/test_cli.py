@@ -67,11 +67,28 @@ class TestEval:
         assert code == 4 and "range" in err.lower()
 
     def test_stacked_stage_overflow_exit(self, capsys):
-        # each G6(400) stage passes the exponent guard; together they overflow
+        # each G6(400) stage passes the exponent guard; their summed log
+        # factor does not
         code, out, err = run(capsys, "eval", "--expr", "C1[0] | G6(400) | G6(400)",
                              "--t", "0", "--S", "1")
         assert code == 4 and out == ""
+        assert err.startswith("range error:") and "exceeds the +/-700 guard" in err
+        # the summed factor e^-800 fails the guard as well, not a silent 0
+        code, out, err = run(capsys, "eval", "--expr", "C1[0] | G6(-400) | G6(-400)",
+                             "--t", "0", "--S", "1")
+        assert code == 4 and out == "" and "exceeds the +/-700 guard" in err
+        # a factor within the guard that overflows with the base's weight
+        code, out, err = run(capsys, "eval", "--expr", "1e300*C1[0] | G6(100)",
+                             "--t", "0", "--S", "1")
+        assert code == 4 and out == ""
         assert err.startswith("range error:") and "not finite" in err
+
+    def test_cancelling_stage_factors_exit(self, capsys):
+        # the pipeline composes to the identity, whatever its stages' factors
+        code, out, err = run(capsys, "eval", "--expr",
+                             "C1[0] | G6(400) | G6(400) | G6(-400) | G6(-400)",
+                             "--t", "0", "--S", "1")
+        assert code == 0 and out == "1\n" and err == ""
 
     def test_non_finite_combination_exit(self, capsys):
         # the term's exponent (695) passes the guard, the weighted value is inf

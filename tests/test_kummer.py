@@ -14,9 +14,10 @@ from bachelier_symmetries.kummer import (
     kummer_truncated_du,
     pochhammer,
 )
-from bachelier_symmetries.pde_verify import derivative_richardson, residual_scan
+from bachelier_symmetries.pde_verify import residual_scan
 from bachelier_symmetries.solutions import ComboSolution, SolutionTerm
 from bachelier_symmetries.verification import DEFAULT_GRID, DEFAULT_PARAMS, TOL_BASE_RESIDUAL
+from fd_oracle import derivative_richardson
 
 U_GRID = [-10.0, -6.0, -3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0, 6.0, 10.0]
 
@@ -78,6 +79,9 @@ class TestDerivative:
 
     def test_quadratic_slope(self):
         assert kummer_truncated_du(2, 0.5, 1.0) == pytest.approx(-4.0 / 3.0, rel=1e-15)
+
+    def test_fd_oracle_on_cubic(self):
+        assert derivative_richardson(lambda x: x**3, 2.0) == pytest.approx(12.0, rel=1e-12)
 
     @pytest.mark.parametrize("m", range(1, 9))
     @pytest.mark.parametrize("b", [0.5, 1.5])

@@ -10,7 +10,6 @@ from bachelier_symmetries.pde_verify import (
     EvalPoint,
     GridSpec,
     default_step,
-    derivative_richardson,
     residual_fd,
     residual_from_partials,
     residual_scan,
@@ -70,9 +69,6 @@ class TestDerivativeHelpers:
     def test_default_step_scaling(self):
         assert default_step(0.3) == 1e-3
         assert default_step(-5.0) == 5e-3
-
-    def test_derivative_on_cubic(self):
-        assert derivative_richardson(lambda x: x**3, 2.0) == pytest.approx(12.0, rel=1e-12)
 
 
 class TestResidualFd:

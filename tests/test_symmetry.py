@@ -1,6 +1,7 @@
 """Group maps: identities, round trips, pullbacks, generators, fixed surfaces."""
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +10,6 @@ from bachelier_symmetries.errors import DomainError, InvalidParameter, RangeErro
 from bachelier_symmetries.pde_verify import (
     GridSpec,
     default_step,
-    derivative_richardson,
     residual_from_partials,
     residual_scan,
 )
@@ -31,6 +31,7 @@ from bachelier_symmetries.symmetry import (
 )
 from bachelier_symmetries.reference_forms import g4_family_from_linear
 from bachelier_symmetries.verification import TOL_CLOSURE_RESIDUAL
+from fd_oracle import derivative_richardson
 
 P = ModelParams(r=0.05, sigma=0.2)
 JETS = [JetPoint(0.0, 1.0, 1.0), JetPoint(0.4, -0.8, 2.5), JetPoint(-0.6, 1.7, -0.3),
@@ -184,18 +185,47 @@ class TestPullback:
             pullback(GroupElement(4, 1.05), self.linear, 0.5, 1.0, P)
 
     def test_stacked_stage_overflow_raises(self):
-        # each stage's factor e^400 passes the exponent guard, their
-        # product does not fit a float
-        pipeline = (GroupElement(6, 400.0), GroupElement(6, 400.0))
+        # each stage's factor e^{+/-400} passes the exponent guard; the summed
+        # log factor does not, as for G6(+/-800), so e^-800 is no silent 0
+        for eps in (400.0, -400.0):
+            pipeline = (GroupElement(6, eps), GroupElement(6, eps))
+            for f in (chain_function(pipeline, self.linear, P),
+                      chain_function((GroupElement(6, 2.0 * eps),), self.linear, P)):
+                with pytest.raises(RangeError, match=r"exceeds the \+/-700 guard"):
+                    f(0.0, 1.0)
+                with pytest.raises(RangeError, match=r"exceeds the \+/-700 guard"):
+                    f.partials(0.0, 1.0)
+            with pytest.raises(RangeError, match=r"exceeds the \+/-700 guard"):
+                pullback_chain(pipeline, self.linear, 0.0, 1.0, P)
+            # one stage alone stays finite
+            assert math.isfinite(pullback_chain(pipeline[:1], self.linear, 0.0, 1.0, P))
+        # a factor within the guard can still overflow with the base's value
+        heavy = chain_function((GroupElement(6, 100.0),),
+                               ComboSolution(SolutionTerm(1, 0, 1e300), P), P)
         with pytest.raises(RangeError, match="not finite"):
-            pullback_chain(pipeline, self.linear, 0.0, 1.0, P)
-        f = chain_function(pipeline, self.linear, P)
+            heavy(0.0, 1.0)
         with pytest.raises(RangeError, match="not finite"):
-            f(0.0, 1.0)
-        with pytest.raises(RangeError, match="not finite"):
-            f.partials(0.0, 1.0)
-        # one stage alone stays finite
-        assert math.isfinite(pullback_chain(pipeline[:1], self.linear, 0.0, 1.0, P))
+            heavy.partials(0.0, 1.0)
+
+    def test_stage_factors_that_cancel_pass(self):
+        # G6(400) | G6(400) | G6(-400) | G6(-400) is the identity
+        base = ComboSolution(SolutionTerm(3, -4), P)
+        f = chain_function([GroupElement(6, eps) for eps in (400.0, 400.0, -400.0, -400.0)],
+                           base, P)
+        assert f(0.35, -1.3) == base(0.35, -1.3)
+        assert f.partials(0.35, -1.3) == base.partials(0.35, -1.3)
+
+    def test_scaling_stages_compose_like_one_group_element(self):
+        # the one-parameter group law G6(a) | G6(b) = G6(a + b), bit for bit
+        rng = random.Random(1618)
+        base = ComboSolution(SolutionTerm(3, -4), P)
+        for _ in range(200):
+            a, b = rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)
+            t, S = rng.uniform(0.0, 1.0), rng.uniform(-2.0, 2.0)
+            pair = chain_function((GroupElement(6, a), GroupElement(6, b)), base, P)
+            single = chain_function((GroupElement(6, a + b),), base, P)
+            assert pair(t, S) == single(t, S)
+            assert pair.partials(t, S) == single.partials(t, S)
 
 
 def _central_partials(f, t, S):

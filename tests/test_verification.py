@@ -28,6 +28,14 @@ def test_a_large_rate_prints_every_group_row(r):
     assert len(ver.run_scope("groups", ModelParams(r, 0.2))) == 13
 
 
+def test_tangency_counts_the_draws_it_measured():
+    # at r = 6 two G4 draws and one G5 draw fall outside the domain
+    details = {res.name: res.detail for res in ver.generator_tangency(ModelParams(6.0, 0.2))}
+    assert "98 jet points" in details["tangency_G4"]
+    assert "99 jet points" in details["tangency_G5"]
+    assert "100 jet points" in details["tangency_G1"]
+
+
 def _all_fail_on_nan(results, count):
     assert len(results) == count
     assert not any(res.passed for res in results)
