@@ -15,8 +15,6 @@ from bachelier_symmetries import (
     GridSpec,
     ModelParams,
     SolutionTerm,
-    eval_term,
-    eval_term_partials,
     residual_scan,
 )
 
@@ -31,11 +29,11 @@ for q, n, note in [
     (4, -2, "Gaussian-damped quadratic"),
     (3, -6, "higher-order member"),
 ]:
-    value = eval_term(SolutionTerm(q, n), 0.5, 1.2, params)
+    value = ComboSolution(SolutionTerm(q, n), params)(0.5, 1.2)
     print(f"  C{q}[{n:>2}] = {value: .10f}   ({note})")
 
 print("\nExact partial derivatives are available in closed form:")
-c, c_t, c_s, c_ss = eval_term_partials(SolutionTerm(4, -2), 0.5, 1.2, params)
+c, c_t, c_s, c_ss = ComboSolution(SolutionTerm(4, -2), params).partials(0.5, 1.2)
 print(f"  C4[-2]: C = {c:.8f}, C_t = {c_t:.8f}, C_S = {c_s:.8f}, C_SS = {c_ss:.8f}")
 
 grid = GridSpec(t_range=(0.0, 1.0), S_range=(-2.0, 2.0), nt=21, nS=21)

@@ -19,7 +19,6 @@ from bachelier_symmetries import (
     g4_family_from_linear,
     g5_family_from_gaussian_term,
     residual_scan,
-    transformed,
     worked_combo,
 )
 
@@ -40,7 +39,7 @@ print("(the closed forms are parametrised from the opposite composition side,")
 print("so the pullback runs at -eps):\n")
 for label, gi, seed, closed_form in cases:
     eps = 0.2
-    moved = transformed(GroupElement(gi, -eps), seed, params)
+    moved = chain_function((GroupElement(gi, -eps),), seed, params)
     t, s = 0.4, 0.9
     a, b = closed_form(t, s, eps, params), moved(t, s)
     print(f"  {label}:")

@@ -23,8 +23,6 @@ from .solutions import (
     ComboSolution,
     ModelParams,
     SolutionTerm,
-    eval_term,
-    eval_term_partials,
 )
 from .symmetry import (
     FLOW_ORIENTATION,
@@ -34,9 +32,6 @@ from .symmetry import (
     forward_map,
     generator_eval,
     inverse_point_map,
-    pullback,
-    pullback_chain,
-    transformed,
 )
 from .pde_verify import GridSpec, default_step, residual_scan
 from .reference_forms import (
@@ -65,8 +60,6 @@ __all__ = [
     "SolutionTerm",
     "chain_function",
     "default_step",
-    "eval_term",
-    "eval_term_partials",
     "expression_function",
     "format_expr",
     "forward_map",
@@ -76,9 +69,6 @@ __all__ = [
     "generator_eval",
     "inverse_point_map",
     "parse_expr",
-    "pullback",
-    "pullback_chain",
     "residual_scan",
-    "transformed",
     "worked_combo",
 ]

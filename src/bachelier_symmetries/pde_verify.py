@@ -67,8 +67,9 @@ class GridSpec:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise InvalidParameter(f"{name} must be a (low, high) pair, got {pair!r}")
             lo, hi = finite_real(name, pair[0]), finite_real(name, pair[1])
-            if not lo < hi:
-                raise InvalidParameter(f"{name} must have low < high, got ({lo}, {hi})")
+            if not lo < hi or not math.isfinite(hi - lo):  # an inf width makes an inf step
+                raise InvalidParameter(
+                    f"{name} must have low < high and a finite width, got ({lo}, {hi})")
             object.__setattr__(self, name, (lo, hi))
         object.__setattr__(self, "nt", integer("nt", self.nt, lo=2))
         object.__setattr__(self, "nS", integer("nS", self.nS, lo=2))
@@ -191,9 +192,9 @@ def residual_scan(
 
     mode "analytic" requires f to expose exact partials via a
     ``partials(t, S)`` method; combo-backed solutions do, and so do
-    pipelines over them (``chain_function``, ``transformed``). mode "fd"
-    works on any callable. Points are drawn through ``sampled``: a skipped
-    point counts as a failure.
+    pipelines over them (``chain_function``). mode "fd" works on any
+    callable. Points are drawn through ``sampled``: a skipped point counts
+    as a failure.
 
     The scan is a deterministic row-major sweep (t outer, S inner), so
     reports are reproducible; f may also be evaluated concurrently by

@@ -8,21 +8,24 @@ solution through a single symmetry group:
   * the Gaussian member C_{4,-2} through group 5,
   * a fixed eight-term combination through group 3.
 
-They bypass `symmetry.pullback` entirely and share no code with it, so
+They bypass `symmetry.chain_function` entirely and share no code with it, so
 agreement between the two routes is a meaningful cross-check rather than a
 tautology. Families here are parametrised so that eps = 0 gives back the
 base solution and, for groups 4 and 5, the admissible parameter set at a
 point t is e^{2rt} + eps > 0 (resp. e^{-2rt} + eps > 0). Under the group
-composition conventions of `symmetry`, `pullback` with GroupElement(i, -eps)
-evaluates the identical function of (t, S). Every exponential goes through
-`solutions.safe_exp`, so out-of-range parameters raise RangeError.
+composition conventions of `symmetry`, `chain_function` over
+(GroupElement(i, -eps),) evaluates the identical function of (t, S). Every
+exponential goes through `solutions.safe_exp`, and an intermediate that
+overflows (or underflows into a divisor) or a non-finite value raises
+RangeError, so out-of-range parameters never return inf or NaN.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .solutions import BaseCombo, ModelParams, SolutionTerm, safe_exp
 
 __all__ = [
@@ -45,6 +48,22 @@ def worked_combo() -> BaseCombo:
     return BaseCombo(tuple(SolutionTerm(q, n, w) for q, n, w in _WORKED_WEIGHTS))
 
 
+def _in_range(family):
+    """The family, raising RangeError where its arithmetic leaves the float range."""
+    @functools.wraps(family)
+    def guarded(t: float, S: float, eps: float, params: ModelParams) -> float:
+        try:
+            value = family(t, S, eps, params)
+        except (OverflowError, ZeroDivisionError):  # a power overflows, or a divisor underflows
+            value = math.nan
+        if math.isfinite(value):
+            return value
+        raise RangeError(f"{family.__name__} at (t, S, eps) = ({t!r}, {S!r}, {eps!r}) "
+                         f"leaves the float range: {value!r}")
+    return guarded
+
+
+@_in_range
 def g4_family_from_linear(t: float, S: float, eps: float, params: ModelParams) -> float:
     """Group 4 carried family seeded by C = S:
 
@@ -59,6 +78,7 @@ def g4_family_from_linear(t: float, S: float, eps: float, params: ModelParams) -
     return safe_exp(exponent) * S / w**1.5
 
 
+@_in_range
 def g5_family_from_gaussian_term(t: float, S: float, eps: float, params: ModelParams) -> float:
     """Group 5 carried family seeded by C_{4,-2}:
 
@@ -75,6 +95,7 @@ def g5_family_from_gaussian_term(t: float, S: float, eps: float, params: ModelPa
     return safe_exp(exponent) * math.sqrt(v) * (-2.0 * r * S**2 + sigma**2 * d) / (sigma**2 * d**3)
 
 
+@_in_range
 def g3_family_from_worked_combo(t: float, S: float, eps: float, params: ModelParams) -> float:
     """Group 3 carried family seeded by the eight-term worked combination.
 

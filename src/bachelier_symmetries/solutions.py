@@ -20,13 +20,13 @@ solutions; `BaseCombo` holds such a sum and `ComboSolution` evaluates it
 and its partials with exactly rounded summation (math.fsum), so tabulated
 output is reproducible across platforms. `ComboSolution` compiles each term
 once, into a kernel that holds its Kummer table (see `kummer`), so a point
-costs one Kummer sweep and one guarded exponential per term. `eval_term`
-and `eval_term_partials` are one-term combinations: a member has one
-formula. Where fsum overflows on an intermediate sum although the total is
-in range, the terms are added exactly as fractions and rounded once, an
-exactly rounded sum as well. A value or partial that leaves the float
-range (a squared price that overflows, an exponent past the guard, a
-non-finite sum) raises RangeError; no inf or NaN is returned.
+costs one Kummer sweep and one guarded exponential per term. A bare
+`SolutionTerm` is a one-term combination: a member has one formula. Where
+fsum overflows on an intermediate sum although the total is in range, the
+terms are added exactly as fractions and rounded once, an exactly rounded
+sum as well. A value or partial that leaves the float range (a squared
+price that overflows, an exponent past the guard, a non-finite sum) raises
+RangeError; no inf or NaN is returned.
 
 Negative rates are allowed (u simply goes negative, which the polynomial
 factor absorbs). r = 0 is rejected at construction: two of the symmetry
@@ -51,8 +51,6 @@ __all__ = [
     "ModelParams",
     "SolutionTerm",
     "BaseCombo",
-    "eval_term",
-    "eval_term_partials",
     "ComboSolution",
 ]
 
@@ -144,8 +142,8 @@ _CLASS_TABLE = {
 
 def _exact_sum(values) -> float:
     # math.fsum raises when an intermediate sum overflows, even if the total
-    # is in range; the exact rational sum rounded once is the same exactly
-    # rounded result. A total outside the float range, or inf - inf, is nan.
+    # is in range, and on inf - inf; the exact rational sum rounded once is the
+    # same exactly rounded result, and nan for a non-finite term or total.
     # Imported here: this path is rare, and fractions loads decimal (~4 ms)
     from fractions import Fraction
 
@@ -207,10 +205,8 @@ class ComboSolution:
             values.append(coeff * value * safe_exp(exponent))
         try:
             value = math.fsum(values)
-        except OverflowError:  # an intermediate sum overflows
+        except (OverflowError, ValueError):  # an intermediate sum overflows, or inf - inf
             value = _exact_sum(values)
-        except ValueError:  # inf - inf
-            value = math.nan
         if not math.isfinite(value):
             raise RangeError(f"combination value at (t, S) = ({t!r}, {S!r}) is not finite")
         return value
@@ -246,10 +242,8 @@ class ComboSolution:
             rows.append((c, alpha * c, carrier * f1, carrier * f2))
         try:
             sums = tuple(map(math.fsum, zip(*rows)))
-        except OverflowError:
+        except (OverflowError, ValueError):
             sums = tuple(map(_exact_sum, zip(*rows)))
-        except ValueError:
-            sums = (math.nan,) * 4
         c, c_t, c_s, c_ss = sums
         isfinite = math.isfinite
         if not (isfinite(c) and isfinite(c_t) and isfinite(c_s) and isfinite(c_ss)):
@@ -258,6 +252,7 @@ class ComboSolution:
         return sums
 
 
+# no package caller; bench/tracer.py binds this name
 def eval_term(term: SolutionTerm, t: float, S: float, params: ModelParams) -> float:
     """Value of coeff * C_{q,n}(t, S): the one-term ``ComboSolution``."""
     return ComboSolution(term, params)(t, S)

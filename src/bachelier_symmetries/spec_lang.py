@@ -223,9 +223,9 @@ def format_expr(expr: SolutionExpr) -> str:
 def expression_function(expr: SolutionExpr, params: ModelParams):
     """Bind an expression to market parameters as a plain (t, S) callable.
 
-    With an empty pipeline the result is a ComboSolution; pipelined
-    expressions evaluate through ``pullback_chain``, which reads each
-    stage's group record at -eps back to the pre-image. Both carry exact
+    With an empty pipeline the result is a ComboSolution; a pipelined
+    expression is bound by ``chain_function``, which reads each stage's
+    group record at -eps back to the pre-image. Both carry exact
     partials via ``partials(t, S)``, the pipelined ones by the chain rule on
     the same records.
     """

@@ -47,14 +47,12 @@ from .symmetry import (
     FLOW_ORIENTATION,
     GroupElement,
     JetPoint,
+    fixed_surface_check,  # noqa: F401  not called here; bench/tracer.py binds this name
     forward_map,
     generator_eval,
     surface_defect,
     transformed,
 )
-# not called here since invariance_flags compares the defect itself;
-# bench/tracer.py binds this name
-from .symmetry import fixed_surface_check  # noqa: F401
 
 __all__ = [
     "CheckResult",

@@ -90,6 +90,13 @@ class TestEval:
                              "--t", "0", "--S", "1")
         assert code == 0 and out == "1\n" and err == ""
 
+    def test_group4_record_with_an_underflowing_product_exit(self, capsys):
+        # sigma^2 * w underflows to 0 in the G4 record; the pre-image is a
+        # range error, not a ZeroDivisionError traceback
+        code, out, err = run(capsys, "eval", "--expr", "C1[0] | G4(0.9999)", "--sigma", "1e-160",
+                             "--t", "0", "--S", "1")
+        assert code == 4 and out == "" and err.startswith("range error:")
+
     def test_non_finite_combination_exit(self, capsys):
         # the term's exponent (695) passes the guard, the weighted value is inf
         code, out, err = run(capsys, "eval", "--expr", "1e10*C2[0]", "--t", "13900", "--S", "0")
@@ -201,6 +208,17 @@ class TestTable:
                            "--t-range", "0:1", "--S-range", "-1:1:2")
         assert code == 2 and "LO:HI:N" in err
 
+    def test_non_numeric_range_field(self, capsys):
+        code, _, err = run(capsys, "table", "--expr", "C1[0]",
+                           "--t-range", "0:x:2", "--S-range", "-1:1:2")
+        assert code == 2 and "numeric fields" in err
+
+    @pytest.mark.parametrize("axes", [("-1e308:1e308:3", "0:1:2"), ("0:1:2", "-1e308:1e308:3")])
+    def test_overflowing_grid_width_is_usage_error(self, capsys, axes):
+        code, out, err = run(capsys, "table", "--expr", "C1[0]",
+                             "--t-range", axes[0], "--S-range", axes[1])
+        assert code == 2 and out == "" and "finite width" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "surface.csv"
         code, out, _ = run(capsys, "table", "--expr", "C1[0]", "--t-range", "0:1:2",
@@ -248,6 +266,15 @@ class TestVerify:
         assert len(lines) == 7 and lines[-1] == "# 0/6 checks passed"
         assert all(line.startswith("FAIL") and "measured=nan" in line for line in lines[:-1])
 
+    def test_oracle_overflow_fails_its_row(self, capsys):
+        # at r = 200 the G5 and G3 hand-coded families overflow on some
+        # samples; those rows fail with NaN and the run still prints all six
+        code, out, _ = run(capsys, "verify", "--scope", "examples", "--r", "200")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 7 and lines[-1].endswith("/6 checks passed")
+        assert "FAIL reproduce_G5_on_C4[-2]  measured=nan" in out
+
     @pytest.mark.parametrize("rate", ["1e300", "6"])
     def test_overflowing_rate_prints_every_row_of_the_referee(self, capsys, rate):
         # one parameter set: 21 theorem1 rows, then 12 + 13 + 6 + 4 + 2; at
@@ -294,6 +321,12 @@ class TestConfig:
         code, out, _ = run(capsys, "eval", "--config", str(cfg), "--r", "0.05")
         assert code == 0
         assert float(out) == pytest.approx(math.exp(0.05), rel=1e-15)
+
+    def test_line_without_equals_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r=0.1\nexpr C2[0]\n")
+        code, _, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 2 and ":2: expected key=value" in err
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -42,6 +42,9 @@ class TestGridSpec:
         dict(t_range=(0.0, 1.0), S_range=(-1.0, 1.0), nt=math.nan, nS=3),
         dict(t_range=(0.0, 1.0, 2.0), S_range=(-1.0, 1.0), nt=3, nS=3),
         dict(t_range=("a", "b"), S_range=(-1.0, 1.0), nt=3, nS=3),
+        # hi - lo overflows, so the grid step would be inf
+        dict(t_range=(-1e308, 1e308), S_range=(-1.0, 1.0), nt=3, nS=3),
+        dict(t_range=(0.0, 1.0), S_range=(-1e308, 1e308), nt=3, nS=3),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameter):

@@ -71,6 +71,17 @@ class TestClosedForms:
         with pytest.raises(RangeError):
             oracle(0.5, 1.0, 0.1, ModelParams(r=1e300, sigma=0.2))
 
+    @pytest.mark.parametrize("oracle,t,s,eps,params", [
+        # d**3 overflows inside the G5 family
+        (g5_family_from_gaussian_term, 0.65, 1.0, 0.3, ModelParams(200.0, 0.2)),
+        # every exponential passes the guard, but their product is -inf or inf
+        (g3_family_from_worked_combo, -0.475, -3.17, 0.445, ModelParams(-228.0, 3.13)),
+        (g5_family_from_gaussian_term, -0.72, -367.0, 0.095, ModelParams(-160.0, 0.284)),
+    ])
+    def test_value_outside_the_float_range_is_a_range_error(self, oracle, t, s, eps, params):
+        with pytest.raises(RangeError, match="leaves the float range"):
+            oracle(t, s, eps, params)
+
     def test_g4_domain_error(self):
         with pytest.raises(DomainError):
             g4_family_from_linear(0.0, 1.0, -2.0, P)

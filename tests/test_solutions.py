@@ -59,6 +59,10 @@ class TestSolutionTerm:
         with pytest.raises(InvalidParameter):
             BaseCombo(())
 
+    def test_combo_entries_must_be_terms(self):
+        with pytest.raises(InvalidParameter, match="must be SolutionTerm"):
+            BaseCombo((SolutionTerm(1, 0), (2, -2, 1.0)))
+
 
 class TestFamilyValues:
     @pytest.mark.parametrize("t,S", POINTS)

@@ -78,6 +78,18 @@ class TestForwardMap:
                               (P.sigma**2 * w)) * w
         assert image.C == pytest.approx(expected_c, rel=1e-14)
 
+    def test_group4_record_divides_by_sigma2_and_w_in_turn(self):
+        # sigma^2 * w = 1e-320 * 1e-4 underflows to 0; divided in turn, the
+        # log factor overflows, and the image is a RangeError
+        with pytest.raises(RangeError):
+            forward_map(GroupElement(4, -0.9999), JetPoint(0.0, 1.0, 1.0),
+                        ModelParams(0.05, 1e-160))
+
+    def test_non_finite_image_is_a_range_error(self):
+        # log(1.5) / 2r overflows to t = inf at r = 5e-324
+        with pytest.raises(RangeError, match="not finite"):
+            forward_map(GroupElement(4, 0.5), JetPoint(0.0, 1.0, 1.0), ModelParams(5e-324, 0.2))
+
     @pytest.mark.parametrize("i,eps", [(4, -2.0), (5, -2.0)])
     def test_domain_errors(self, i, eps):
         # the message names the failing log/sqrt argument, e^0 - 2 = -1
@@ -120,6 +132,11 @@ class TestInversePointMap:
         target_t = math.log(2.0) / (2.0 * P.r)
         t0, _ = inverse_point_map(GroupElement(4, 0.5), target_t, 1.0, P)
         assert math.exp(2.0 * P.r * t0) == pytest.approx(1.5, rel=1e-14)
+
+    def test_non_finite_pre_image_is_a_range_error(self):
+        # the one-stage walk at -eps = -0.5 gives t0 = log(0.5) / 2r = -inf
+        with pytest.raises(RangeError, match="not finite"):
+            inverse_point_map(GroupElement(4, 0.5), 0.0, 1.0, ModelParams(5e-324, 0.2))
 
     def test_missing_pre_image(self):
         # one stage of the pipeline walk: stage 0, named as such
@@ -304,6 +321,11 @@ class TestGenerators:
 
     def test_scaling_field_vanishes_at_zero(self):
         assert generator_eval(6, JetPoint(0.2, 1.4, 0.0), P) == GeneratorComponents(0.0, 0.0, 0.0)
+
+    def test_non_finite_component_is_a_range_error(self):
+        # S * C = 1e600 overflows in the C component of xi_3
+        with pytest.raises(RangeError, match="not finite"):
+            generator_eval(3, JetPoint(0.0, 1e300, 1e300), P)
 
     def test_fourth_field_frozen_point(self):
         comp = generator_eval(4, JetPoint(0.0, 1.0, 1.0), P)

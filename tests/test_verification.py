@@ -7,7 +7,7 @@ import pytest
 
 from bachelier_symmetries import symmetry
 from bachelier_symmetries import verification as ver
-from bachelier_symmetries.errors import RangeError
+from bachelier_symmetries.errors import ParseError, RangeError, SemanticError
 from bachelier_symmetries.pde_verify import EvalPoint, ResidualReport
 from bachelier_symmetries.solutions import ModelParams
 from bachelier_symmetries.symmetry import JetPoint
@@ -91,3 +91,41 @@ def test_range_errors_are_nan_samples(monkeypatch):
                + ver.invariance_flags())
     measured = _all_fail_on_nan(results, 19)
     assert all(math.isnan(m) for m in measured)
+
+
+_PARSE = ver.parse_expr
+
+
+def _accepts_everything(text):
+    return None
+
+
+def _negative_offsets(text):
+    try:
+        return _PARSE(text)
+    except ParseError as err:
+        raise ParseError(-1, err.expected, err.found) from None
+    except SemanticError as err:
+        raise SemanticError(-1, err.reason) from None
+
+
+def _unexpected_errors(text):
+    try:
+        return _PARSE(text)
+    except (ParseError, SemanticError):
+        raise RuntimeError("not a located error") from None
+
+
+@pytest.mark.parametrize("parse, mismatches", [
+    (_accepts_everything, ver.EXPRESSIONS),  # every round trip mismatches
+    (_negative_offsets, 0),
+    (_unexpected_errors, 0),
+])
+def test_dsl_roundtrip_counts_every_misbehaving_parse(monkeypatch, parse, mismatches):
+    # each corpus text that is accepted, located at a negative offset or
+    # refused with another exception counts once
+    monkeypatch.setattr(ver, "parse_expr", parse)
+    roundtrip, malformed = ver.dsl_roundtrip()
+    assert roundtrip.measured == mismatches and roundtrip.passed == (mismatches == 0)
+    assert malformed.measured == len(ver._MALFORMED) + len(ver._BAD_SEMANTICS)
+    assert not malformed.passed
