@@ -155,12 +155,15 @@ def _cmd_table(args) -> int:
     f = expression_function(expr, _params(args))
     lines = ["t,S,C"]
     skipped = 0
+    # a row's t and a column's S are formatted once; each cell adds its value
+    columns = [(s, f",{s!r},") for s in grid.S_points()]
     for t in grid.t_points():
-        for s in grid.S_points():
+        t_text = repr(t)
+        for s, s_text in columns:
             try:
-                lines.append(f"{t!r},{s!r},{f(t, s)!r}")
+                lines.append(f"{t_text}{s_text}{f(t, s)!r}")
             except (DomainError, RangeError):
-                lines.append(f"{t!r},{s!r},")
+                lines.append(t_text + s_text)
                 skipped += 1
     lines.append(f"# skipped={skipped}")
     _emit(args.out, "\n".join(lines) + "\n")

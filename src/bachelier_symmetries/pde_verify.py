@@ -7,8 +7,8 @@ Everything this package produces claims to satisfy
 and this module is the referee. Residuals come in two flavours: from exact
 partial derivatives when the function provides them (combo-backed
 solutions do, and so do pipeline-transformed ones, whose partials are the
-base's carried to the target point by the chain rule on each stage's group
-record read at -eps), and from Richardson-extrapolated central differences
+base's carried to the target point by the chain rule on the pipeline's
+composed group record), and from Richardson-extrapolated central differences
 for arbitrary callables, which also serve as an oracle independent of
 those exact partials.
 
@@ -197,10 +197,14 @@ def residual_scan(
     as a failure.
 
     The scan is a deterministic row-major sweep (t outer, S inner), so
-    reports are reproducible; f may also be evaluated concurrently by
-    callers, every function in this package is safe for that, but this
-    scanner itself stays sequential. The worst point is the first one with
-    the largest residual, or the first with a NaN residual.
+    reports are reproducible, and a transported f composes its pipeline
+    once per row. f may also be evaluated concurrently by callers: every
+    function in this package is safe for that, the transported ones too,
+    because their one-entry row cache is read once and replaced whole and
+    holds a record that depends on t alone, so no call can see another
+    t's record. This scanner itself stays sequential. The worst point is
+    the first one with the largest residual, or the first with a NaN
+    residual.
     """
     if mode == "analytic":
         if not hasattr(f, "partials"):

@@ -224,10 +224,10 @@ def expression_function(expr: SolutionExpr, params: ModelParams):
     """Bind an expression to market parameters as a plain (t, S) callable.
 
     With an empty pipeline the result is a ComboSolution; a pipelined
-    expression is bound by ``chain_function``, which reads each stage's
-    group record at -eps back to the pre-image. Both carry exact
-    partials via ``partials(t, S)``, the pipelined ones by the chain rule on
-    the same records.
+    expression is bound by ``chain_function``, which composes the stages'
+    group records at -eps into one record per t. Both carry exact partials
+    via ``partials(t, S)``, the pipelined ones by the chain rule on that
+    composed record.
     """
     base = ComboSolution(expr.combo, params)
     if not expr.pipeline:

@@ -14,29 +14,35 @@ not by a group element here):
     xi_6 = C d/dC
 
 Each finite transformation G_1 .. G_6 is written once, as a record (see
-`_RECORDS`): at a point (t, S) and a parameter eps it gives the image point,
-the log C-factor k and the first-order data of its prolongation. Every G_i
-has the form t' = T(t), S' = A(t) S + B(t), C' = e^{k(t, S)} C, so its second
-prolongation (Olver, Applications of Lie Groups to Differential Equations,
-GTM 107, ch. 2) carries (C, C_t, C_S, C_SS) with no C_tt or C_tS needed, and
-its inverse is the same map at -eps. `forward_map` reads the record at eps;
-`inverse_point_map` is the one-stage case of the pipeline walk below. The
-records use the conventional closed forms, in which the parameter of G_4
-and G_5 runs along the flow of -xi_4 and -xi_5; FLOW_ORIENTATION records the
-sign per group so tangency checks can tie the finite maps to the
-hand-written vector fields of `generator_eval`.
+`_RECORDS`). Every G_i has the form t' = T(t), S' = A(t) S + B(t),
+C' = e^k C with k = k0(t) + k1(t) S + k2(t) S^2, so at a time t and a
+parameter eps the record gives the t-only coefficients T, A, B, k0, k1, k2,
+each with its t-derivative; the dependence on S is algebra written once
+(`_point`). That is all the second prolongation needs (Olver, Applications
+of Lie Groups to Differential Equations, GTM 107, ch. 2): it carries
+(C, C_t, C_S, C_SS) with no C_tt or C_tS. The inverse of G_i(eps) is the
+same map at -eps. `forward_map` reads the record at eps; `inverse_point_map`
+is the one-stage case of the pipeline composition below. The records use
+the conventional closed forms, in which the parameter of G_4 and G_5 runs
+along the flow of -xi_4 and -xi_5; FLOW_ORIENTATION records the sign per
+group so tangency checks can tie the finite maps to the hand-written vector
+fields of `generator_eval`.
 
-A group element maps solution graphs to solution graphs. `pullback_chain`
-materialises the mapped graph as a function again: it walks the point back
-through the pipeline, reading each stage's record at -eps, evaluates the
-original solution at the pre-image, and multiplies by one e^{-K} for the sum
-K of the stages' k, because e^{k_eps(t0, S0)} = e^{-k_{-eps}(t', S')}. The
-exponent guard judges K alone: G6(a) | G6(b) fares as G6(a + b).
-`chain_function` binds that into a callable whose `partials` apply the chain
-rule to the same records, so transported solutions have exact partials. G_4
-and G_5 involve a logarithm and a square root, so both directions carry
-per-point domain conditions, checked at each evaluation: there is no global
-admissible parameter range. A failed pre-image raises DomainError with the
+A group element maps solution graphs to solution graphs. `chain_function`
+materialises the mapped graph as a function again. The form above is closed
+under composition, so a pipeline of any depth, read at a fixed t, is one
+record of the same layout: `_compose` walks the stages from the last to the
+first at -eps and returns where the point came from, (T, A S + B), and the
+total log factor K = k0 + k1 S + k2 S^2. A value is the original solution
+at that pre-image times one e^{-K}, because
+e^{k_eps(t0, S0)} = e^{-k_{-eps}(t', S')}; the exponent guard judges K
+alone, so G6(a) | G6(b) fares as G6(a + b). Exact partials apply the chain
+rule once to the composed record, whatever the depth. The record depends on
+t alone, so a transported solution keeps the last one: a row of prices at
+one t costs one composition. G_4 and G_5 involve a logarithm and a square
+root, so both directions carry domain conditions, on t alone, checked at
+each evaluation: there is no global admissible parameter range, and a row
+is in or out as a whole. A failed pre-image raises DomainError with the
 pipeline stage it failed at and the message prefix "pipeline stage i: ".
 """
 
@@ -49,9 +55,10 @@ from typing import Callable, Iterable, Sequence, NamedTuple
 from .errors import DomainError, InvalidParameter, RangeError, finite_real, integer
 from .pde_verify import sampled, worst_case
 from .solutions import (
+    ComboSolution,
     ModelParams,
     SolutionTerm,
-    eval_term_partials,
+    eval_term_partials,  # noqa: F401  not called here; bench/tracer.py binds this name
     safe_exp,
 )
 
@@ -99,32 +106,32 @@ class GeneratorComponents(NamedTuple):
     C_comp: float
 
 
-# A group record: G_i(eps) read at the source point (t, S). Every G_i has
-# the form t' = T(t), S' = A(t) S + B(t), C' = e^k(t, S) C, and its record
-# is the tuple
+# A group record: G_i(eps) read at time t, the t-only coefficients of its
+# form (see the module docstring), each followed by its t-derivative:
 #
-#     (t', S', k, dt'/dt, A, dS'/dt, k_t, k_S, k_SS)
+#     (T, T', A, A', B, B', k0, k0', k1, k1', k2, k2')
 #
-# that is, the image point, the log C-factor, and the first-order data its
-# prolongation needs. The G4/G5 domain checks live here and nowhere else.
+# `_compose` returns a pipeline in the same layout. The G4/G5 domain checks
+# live here and nowhere else.
 
-def _g1(t, S, eps, params):
-    return (t + eps, S, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+def _g1(t, eps, params):
+    return (t + eps, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _g2(t, S, eps, params):
+def _g2(t, eps, params):
     drift = eps * safe_exp(params.r * t)
-    return (t, S + drift, 0.0, 1.0, 1.0, params.r * drift, 0.0, 0.0, 0.0)
+    return (t, 1.0, 1.0, 0.0, drift, params.r * drift, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _g3(t, S, eps, params):
+def _g3(t, eps, params):
     r, sigma2 = params.r, params.sigma * params.sigma
     shift = eps * safe_exp(-r * t)
-    return (t, S + shift, -r * shift * (shift + 2.0 * S) / sigma2, 1.0, 1.0, -r * shift,
-            2.0 * r * r * shift * (shift + S) / sigma2, -2.0 * r * shift / sigma2, 0.0)
+    k1 = -2.0 * r * shift / sigma2
+    return (t, 1.0, 1.0, 0.0, shift, -r * shift,
+            0.5 * k1 * shift, -r * k1 * shift, k1, -r * k1, 0.0, 0.0)
 
 
-def _g4(t, S, eps, params):
+def _g4(t, eps, params):
     r, sigma2 = params.r, params.sigma * params.sigma
     grow = safe_exp(2.0 * r * t)
     w = grow + eps
@@ -133,13 +140,12 @@ def _g4(t, S, eps, params):
             f"G4 needs e^(2rt) + eps > 0; got {w:.6g} at t = {t!r}, eps = {eps!r}")
     log_w = math.log(w)
     A = safe_exp(r * t) / math.sqrt(w)
-    k_S = 2.0 * r * eps * S / sigma2 / w  # in turn: sigma2 * w can underflow to 0
-    return (log_w / (2.0 * r), A * S, log_w - 2.0 * r * t + 0.5 * k_S * S,
-            grow / w, A, A * S * r * eps / w,
-            -2.0 * r * eps / w - k_S * r * S * grow / w, k_S, 2.0 * r * eps / sigma2 / w)
+    k2 = r * eps / sigma2 / w  # in turn: sigma2 * w can underflow to 0
+    return (log_w / (2.0 * r), grow / w, A, A * r * eps / w, 0.0, 0.0,
+            log_w - 2.0 * r * t, -2.0 * r * eps / w, 0.0, 0.0, k2, -2.0 * r * k2 * grow / w)
 
 
-def _g5(t, S, eps, params):
+def _g5(t, eps, params):
     r = params.r
     shrink = safe_exp(-2.0 * r * t)
     v = shrink + eps
@@ -148,15 +154,64 @@ def _g5(t, S, eps, params):
             f"G5 needs e^(-2rt) + eps > 0; got {v:.6g} at t = {t!r}, eps = {eps!r}")
     log_v = math.log(v)
     A = safe_exp(-r * t) / math.sqrt(v)
-    return (-log_v / (2.0 * r), A * S, -r * t - 0.5 * log_v,
-            shrink / v, A, -A * S * r * eps / v, -r * eps / v, 0.0, 0.0)
+    return (-log_v / (2.0 * r), shrink / v, A, -A * r * eps / v, 0.0, 0.0,
+            -r * t - 0.5 * log_v, -r * eps / v, 0.0, 0.0, 0.0, 0.0)
 
 
-def _g6(t, S, eps, params):
-    return (t, S, eps, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+def _g6(t, eps, params):
+    return (t, 1.0, 1.0, 0.0, 0.0, 0.0, eps, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 _RECORDS = (_g1, _g2, _g3, _g4, _g5, _g6)
+
+
+def _compose(stages, t, params):
+    """The record of the whole pipeline read back at t: where (t, S) came from, and its K.
+
+    Walks from the last stage to the first, reading each stage's record at
+    -eps at the current time; identity stages are skipped, so an empty or
+    all-identity pipeline gives the identity record. Stage j meets the
+    point (T, A S + B) built so far: its new point is affine in S again,
+    and its log factor, quadratic in A S + B, adds to the quadratic K. A
+    DomainError is re-raised with the failing stage's zero-based index.
+    """
+    T, dT, A, dA, B, dB, k0, dk0, k1, dk1, k2, dk2 = (
+        t, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for idx in range(len(stages) - 1, -1, -1):
+        g = stages[idx]
+        if g.epsilon == 0.0:
+            continue
+        try:
+            T, sT, sA, sdA, sB, sdB, s0, sd0, s1, sd1, s2, sd2 = _RECORDS[g.gen_index - 1](
+                T, -g.epsilon, params)
+        except DomainError as err:
+            raise DomainError(f"pipeline stage {idx}: no pre-image under "
+                              f"G{g.gen_index}({g.epsilon!r}): {err}", stage=idx) from err
+        # the stage's coefficients are functions of T(t): chain rule in t
+        sdA, sdB, sd0, sd1, sd2 = sdA * dT, sdB * dT, sd0 * dT, sd1 * dT, sd2 * dT
+        # s0 + s1 X + s2 X^2 at X = A S + B, the price the stage meets
+        slope = s1 + 2.0 * s2 * B
+        dslope = sd1 + 2.0 * (sd2 * B + s2 * dB)
+        k0, dk0 = (k0 + s0 + (s1 + s2 * B) * B,
+                   dk0 + sd0 + (sd1 + sd2 * B) * B + slope * dB)
+        k1, dk1 = k1 + slope * A, dk1 + dslope * A + slope * dA
+        k2, dk2 = k2 + s2 * A * A, dk2 + (sd2 * A + 2.0 * s2 * dA) * A
+        A, dA, B, dB = sA * A, sdA * A + sA * dA, sA * B + sB, sdA * B + sA * dB + sdB
+        dT = sT * dT
+    return (T, dT, A, dA, B, dB, k0, dk0, k1, dk1, k2, dk2)
+
+
+def _point(record, S):
+    """A record at price S: the time T, the price A S + B and the log factor k."""
+    T, _, A, _, B, _, k0, _, k1, _, k2, _ = record
+    return T, A * S + B, k0 + (k1 + k2 * S) * S
+
+
+def _finite(values, t, S):
+    if not all(map(math.isfinite, values)):
+        raise RangeError(f"result at (t, S) = ({t!r}, {S!r}) is not finite: "
+                         + ", ".join(map(repr, values)))
+    return values
 
 
 def forward_map(g: GroupElement, jp: JetPoint, params: ModelParams) -> JetPoint:
@@ -170,7 +225,7 @@ def forward_map(g: GroupElement, jp: JetPoint, params: ModelParams) -> JetPoint:
     eps = g.epsilon
     if eps == 0.0:
         return JetPoint(t, S, C)
-    image_t, image_S, k = _RECORDS[g.gen_index - 1](t, S, eps, params)[:3]
+    image_t, image_S, k = _point(_RECORDS[g.gen_index - 1](t, eps, params), S)
     return JetPoint(*_finite((image_t, image_S, C * safe_exp(k)), t, S))
 
 
@@ -179,11 +234,11 @@ def inverse_point_map(
 ) -> tuple[float, float]:
     """The unique (t0, S0) whose image under ``forward_map`` has the target point part.
 
-    G_i(eps) is inverted by G_i(-eps): this is the pipeline walk of
-    ``pullback_chain`` over the one stage g. Raises DomainError, with stage
+    G_i(eps) is inverted by G_i(-eps): this is the pipeline composition of
+    ``chain_function`` over the one stage g. Raises DomainError, with stage
     0, outside the G4/G5 log/sqrt domain, and RangeError on a non-finite one.
     """
-    return _finite(_pull_back((g,), target_t, target_S, params)[:2], target_t, target_S)
+    return _finite(_point(_compose((g,), target_t, params), target_S)[:2], target_t, target_S)
 
 
 # no package caller; bench/tracer.py binds this name
@@ -200,37 +255,7 @@ def transformed(
     return chain_function((g,), f, params)
 
 
-def _pull_back(stages, t, S, params):
-    """The pre-image of (t, S) under the pipeline, the sum of its k, and the records.
-
-    Walks from the last stage to the first, reading each stage's record at
-    -eps at the current point; identity stages are skipped. A DomainError is
-    re-raised with the failing stage's zero-based index attached.
-    """
-    log_factor = 0.0
-    records = []
-    for idx in range(len(stages) - 1, -1, -1):
-        g = stages[idx]
-        if g.epsilon == 0.0:
-            continue
-        try:
-            record = _RECORDS[g.gen_index - 1](t, S, -g.epsilon, params)
-        except DomainError as err:
-            raise DomainError(f"pipeline stage {idx}: no pre-image under "
-                              f"G{g.gen_index}({g.epsilon!r}): {err}", stage=idx) from err
-        t, S = record[0], record[1]
-        log_factor += record[2]
-        records.append(record)
-    return t, S, log_factor, records
-
-
-def _finite(values, t, S):
-    if not all(map(math.isfinite, values)):
-        raise RangeError(f"result at (t, S) = ({t!r}, {S!r}) is not finite: "
-                         + ", ".join(map(repr, values)))
-    return values
-
-
+# no package caller; bench/tracer.py binds this name
 def pullback_chain(
     pipeline: Sequence[GroupElement],
     f: Callable[[float, float], float],
@@ -238,56 +263,69 @@ def pullback_chain(
     S: float,
     params: ModelParams,
 ) -> float:
-    """Left-to-right composition of pullbacks: the first element acts on f first.
-
-    The value is f at the pipeline's pre-image of (t, S), times one e^{-K}
-    for the sum K of the stages' records k read at -eps, since
-    e^{k_eps(t0, S0)} = e^{-k_{-eps}(t', S')}. An empty pipeline evaluates f
-    itself. A DomainError raised while inverting some stage carries that
-    stage's zero-based index. A summed log factor beyond the exponent guard,
-    or a non-finite value, raises RangeError.
-    """
-    t0, S0, log_factor, _ = _pull_back(tuple(pipeline), t, S, params)
-    return _finite((f(t0, S0) * safe_exp(-log_factor),), t, S)[0]
+    """Value at (t, S) of f transported through the pipeline: ``chain_function(...)(t, S)``."""
+    return chain_function(pipeline, f, params)(t, S)
 
 
 class _Transported:
     """A solution pushed through a pipeline, as a (t, S) callable with partials.
 
-    Calls evaluate ``pullback_chain``. ``partials(t, S)`` returns exact
-    (C, C_t, C_S, C_SS): the base's partials at the pre-image, carried
-    through each stage by the chain rule on its record, then times e^{-K}.
-    It needs a base that has ``partials`` and raises InvalidParameter
-    otherwise, and RangeError on a non-finite result.
+    A call composes the pipeline at t (``_compose``) and evaluates the base
+    at the pre-image (T, A S + B), times one e^{-K}, K = k0 + k1 S + k2 S^2,
+    since e^{k_eps(t0, S0)} = e^{-k_{-eps}(t', S')}. An empty pipeline
+    evaluates the base itself. ``partials(t, S)`` returns exact
+    (C, C_t, C_S, C_SS): the chain rule applied once to the composed record,
+    whatever the depth. It needs a base that has ``partials`` and raises
+    InvalidParameter otherwise. A DomainError raised while inverting some
+    stage carries that stage's zero-based index; a K beyond the exponent
+    guard, or a non-finite result, raises RangeError.
+
+    The composed record depends on t alone, so the last one is kept for
+    the next call at the same t: a row of prices costs one composition.
+    The cache is one attribute, read once and replaced whole, so callers
+    in several threads see a record of the t they asked for. Errors are
+    never cached; they are raised afresh at each call.
     """
 
-    __slots__ = ("stages", "base", "params")
+    __slots__ = ("stages", "base", "params", "_row")
 
     def __init__(self, stages, base, params):
         self.stages = stages
         self.base = base
         self.params = params
+        self._row = (math.nan, None)
+
+    def _record(self, t):
+        row = self._row
+        # equal floats have equal bits but for 0.0 == -0.0, which a pipeline
+        # that keeps t hands on to the base: a zero also matches its sign
+        if row[0] == t and (t or math.copysign(1.0, t) == math.copysign(1.0, row[0])):
+            return row[1]
+        record = _compose(self.stages, t, self.params)
+        self._row = (t, record)
+        return record
 
     def __call__(self, t: float, S: float) -> float:
-        return pullback_chain(self.stages, self.base, t, S, self.params)
+        t0, S0, K = _point(self._record(t), S)
+        return _finite((self.base(t0, S0) * safe_exp(-K),), t, S)[0]
 
     def partials(self, t: float, S: float) -> tuple[float, float, float, float]:
         base_partials = getattr(self.base, "partials", None)
         if base_partials is None:
             raise InvalidParameter(
                 "exact partials of a transported solution need a base with partials(t, S)")
-        t0, S0, log_factor, records = _pull_back(self.stages, t, S, self.params)
+        record = self._record(t)
+        t0, S0, K = _point(record, S)
+        _, dT, A, dA, _, dB, _, dk0, k1, dk1, k2, dk2 = record
         c, c_t, c_s, c_ss = base_partials(t0, S0)
-        # C'(t', S') = e^{-k} c(t0, S0), (t0, S0) = G(-eps)(t', S'), derivatives
-        # along the -eps record; linear in c, so the e^{-k} leave as one e^{-K}
-        for _, _, _, d_t, A, d_s, k_t, k_S, k_SS in reversed(records):
-            c_t, c_s, c_ss = (
-                d_t * c_t + d_s * c_s - k_t * c,
-                A * c_s - k_S * c,
-                A * A * c_ss - 2.0 * k_S * A * c_s + (k_S * k_S - k_SS) * c,
-            )
-        E = safe_exp(-log_factor)
-        return _finite((E * c, E * c_t, E * c_s, E * c_ss), t, S)
+        # C(t, S) = e^{-K} c(T, A S + B); linear in c, so e^{-K} scales all four
+        K_S = k1 + 2.0 * k2 * S
+        E = safe_exp(-K)
+        return _finite((E * c,
+                        E * (dT * c_t + (dA * S + dB) * c_s - (dk0 + (dk1 + dk2 * S) * S) * c),
+                        E * (A * c_s - K_S * c),
+                        E * (A * A * c_ss - 2.0 * K_S * A * c_s + (K_S * K_S - 2.0 * k2) * c)),
+                       t, S)
 
 
 def chain_function(
@@ -295,7 +333,11 @@ def chain_function(
     f: Callable[[float, float], float],
     params: ModelParams,
 ) -> Callable[[float, float], float]:
-    """Bind ``pullback_chain`` into a reusable (t, S) callable with exact partials."""
+    """Transport f through the pipeline: a (t, S) callable with exact partials.
+
+    Left-to-right composition of pullbacks: the first element acts on f
+    first. See ``_Transported`` for the evaluation and its errors.
+    """
     return _Transported(tuple(pipeline), f, params)
 
 
@@ -336,8 +378,10 @@ def surface_defect(
     normalised by the largest participating magnitude (floored at 1). Points
     are drawn through ``pde_verify.sampled``: one that overflows scores NaN.
     """
+    partials = ComboSolution(term, params).partials
+
     def defect(t: float, S: float) -> float:
-        c, c_t, c_s, _ = eval_term_partials(term, t, S, params)
+        c, c_t, c_s, _ = partials(t, S)
         comp = generator_eval(i, JetPoint(t, S, c), params)
         drift_t = comp.T_comp * c_t
         drift_s = comp.S_comp * c_s

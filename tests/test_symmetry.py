@@ -281,8 +281,8 @@ class TestProlongedPartials:
         except (DomainError, RangeError):
             assume(False)
         # the envelope: the base is evaluated within twice the suites' price
-        # range; far beyond it, near a G4/G5 domain boundary, the stages'
-        # chain rule rounds the residual up to about 1.3e-12
+        # range; far beyond it, near a G4/G5 domain boundary, the residual
+        # rounds up to about 1.4e-12, with one chain rule as with one a stage
         assume(abs(source_S) <= 4.0)
         assert abs(c - value) <= 1e-14 * abs(value)
         _, residual = residual_from_partials(c, c_t, c_s, c_ss, S, params)
