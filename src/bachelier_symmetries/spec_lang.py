@@ -44,8 +44,11 @@ __all__ = [
     "expression_function",
 ]
 
-_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_INTEGER = re.compile(r"[+-]?\d+")
+# the grammar's digits are ASCII: str.isdigit and a unicode \d also take
+# characters such as '²' or '٣', which int() rejects or reads as another digit
+_DIGITS = "0123456789"
+_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ class _Scanner:
     def take_digit(self, label: str) -> tuple[int, int]:
         self.skip_ws()
         ch = self.peek()
-        if ch is None or not ch.isdigit():
+        if ch is None or ch not in _DIGITS:
             self.fail(label)
         offset = self.byte_offset()
         self.pos += 1
@@ -122,7 +125,7 @@ def _parse_term(sc: _Scanner, negate: bool) -> SolutionTerm:
     coeff = 1.0
     explicit_coeff = False
     ch = sc.peek()
-    if ch is not None and (ch.isdigit() or ch in "+-."):
+    if ch is not None and ch in _DIGITS + "+-.":
         coeff = sc.take_number()
         sc.expect("*")
         explicit_coeff = True

@@ -93,6 +93,15 @@ class TestErrors:
             parse_expr("C1[0] ⊕ C2[0]")
         assert info.value.offset == len("C1[0] ".encode("utf-8"))
 
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [("C²", "C"), ("C1[0] | G²(0.1)", "C1[0] | G"), ("C١[0]", "C"), ("٣*C1[0]", ""), ("C1[-٢]", "C1[")],
+    )
+    def test_non_ascii_digits_are_parse_errors(self, text, prefix):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert info.value.offset == len(prefix.encode("utf-8"))
+
 
 class TestFormatting:
     def test_unit_coefficient_written_explicitly(self):
