@@ -25,9 +25,9 @@ step per coordinate, ``default_step``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InvalidParameter, RangeError, finite_real, integer
 from .solutions import ModelParams
@@ -45,48 +45,43 @@ __all__ = [
 ]
 
 
-class EvalPoint(NamedTuple):
+class EvalPoint(namedtuple("EvalPoint", "t S")):
     """A (time, price) point. Prices may be negative; that is the model's point."""
-
-    t: float
-    S: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GridSpec:
+def _axis(bounds: tuple[float, float], n: int) -> list[float]:
+    lo, hi = bounds
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n)]
+
+
+class GridSpec(namedtuple("GridSpec", "t_range S_range nt nS")):
     """Rectangular evaluation grid, inclusive of both range endpoints."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__ too
 
-    t_range: tuple[float, float]
-    S_range: tuple[float, float]
-    nt: int
-    nS: int
-
-    def __post_init__(self):
-        for name in ("t_range", "S_range"):
-            pair = getattr(self, name)
+    def __new__(cls, t_range: tuple[float, float], S_range: tuple[float, float], nt: int, nS: int):
+        ranges = []
+        for name, pair in (("t_range", t_range), ("S_range", S_range)):
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise InvalidParameter(f"{name} must be a (low, high) pair, got {pair!r}")
             lo, hi = finite_real(name, pair[0]), finite_real(name, pair[1])
             if not lo < hi or not math.isfinite(hi - lo):  # an inf width makes an inf step
                 raise InvalidParameter(
                     f"{name} must have low < high and a finite width, got ({lo}, {hi})")
-            object.__setattr__(self, name, (lo, hi))
-        object.__setattr__(self, "nt", integer("nt", self.nt, lo=2))
-        object.__setattr__(self, "nS", integer("nS", self.nS, lo=2))
+            ranges.append((lo, hi))
+        return tuple.__new__(cls, (*ranges, integer("nt", nt, lo=2), integer("nS", nS, lo=2)))
 
     def t_points(self) -> list[float]:
-        lo, hi = self.t_range
-        step = (hi - lo) / (self.nt - 1)
-        return [lo + i * step for i in range(self.nt)]
+        return _axis(self.t_range, self.nt)
 
     def S_points(self) -> list[float]:
-        lo, hi = self.S_range
-        step = (hi - lo) / (self.nS - 1)
-        return [lo + i * step for i in range(self.nS)]
+        return _axis(self.S_range, self.nS)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(namedtuple("ResidualReport",
+                                "max_normalized worst_point failures evaluated")):
     """Residual statistics over a grid.
 
     ``failures`` counts grid points skipped because the function (or its
@@ -95,11 +90,7 @@ class ResidualReport:
     only; a NaN residual (a RangeError point scores one) counts as the
     worst point, so it fails every tolerance.
     """
-
-    max_normalized: float
-    worst_point: EvalPoint | None
-    failures: int
-    evaluated: int
+    __slots__ = ()
 
 
 def _worse(x: float, worst: float) -> bool:

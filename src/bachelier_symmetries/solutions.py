@@ -37,7 +37,7 @@ than per-module carve-outs. The heat-equation limit r -> 0 is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kummer
 from .errors import InvalidParameter, RangeError, finite_real, integer
@@ -68,45 +68,38 @@ def safe_exp(x: float) -> float:
     return math.exp(x)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "r sigma")):
     """Market constants: continuously compounded rate r, absolute volatility sigma.
 
     sigma must be positive, and sigma^2 a nonzero finite float, since the
     families and the PDE divide by it. r may be negative (the regime the
     model is used for) but not zero, see the module docstring.
     """
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__ too
 
-    r: float
-    sigma: float
-
-    def __post_init__(self):
-        r = finite_real("r", self.r)
-        sigma = finite_real("sigma", self.sigma)
+    def __new__(cls, r: float, sigma: float):
+        r = finite_real("r", r)
+        sigma = finite_real("sigma", sigma)
         if sigma <= 0.0 or not 0.0 < sigma * sigma < math.inf:
             raise InvalidParameter(
                 f"sigma must be positive with a nonzero finite square, got {sigma}")
         if r == 0.0:
             raise InvalidParameter("r = 0 is not supported (symmetry groups divide by r)")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "sigma", sigma)
+        return tuple.__new__(cls, (r, sigma))
 
 
-@dataclass(frozen=True)
-class SolutionTerm:
+class SolutionTerm(namedtuple("SolutionTerm", "class_q order_n coeff")):
     """One base family member: class index, order, and a scalar weight."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__ too
 
-    class_q: int
-    order_n: int
-    coeff: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "class_q", integer("class index", self.class_q, 1, 4))
-        n = integer("order", self.order_n, lo=-2 * kummer.MAX_DEGREE, hi=0)
+    def __new__(cls, class_q: int, order_n: int, coeff: float = 1.0):
+        class_q = integer("class index", class_q, 1, 4)
+        n = integer("order", order_n, lo=-2 * kummer.MAX_DEGREE, hi=0)
         if n % 2:
             raise InvalidParameter(f"order must be 0 or a negative even integer, got {n}")
-        object.__setattr__(self, "order_n", n)
-        object.__setattr__(self, "coeff", finite_real("coeff", self.coeff))
+        return tuple.__new__(cls, (class_q, n, finite_real("coeff", coeff)))
 
     @property
     def degree(self) -> int:
@@ -114,20 +107,19 @@ class SolutionTerm:
         return -self.order_n // 2
 
 
-@dataclass(frozen=True)
-class BaseCombo:
+class BaseCombo(namedtuple("BaseCombo", "terms")):
     """Ordered, non-empty weighted collection of base family members."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__ too
 
-    terms: tuple[SolutionTerm, ...]
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    def __new__(cls, terms: tuple[SolutionTerm, ...]):
+        terms = tuple(terms)
         if not terms:
             raise InvalidParameter("a combination needs at least one term")
         for item in terms:
             if not isinstance(item, SolutionTerm):
                 raise InvalidParameter(f"combination entries must be SolutionTerm, got {item!r}")
-        object.__setattr__(self, "terms", terms)
+        return tuple.__new__(cls, (terms,))
 
 
 # class_q -> (Kummer b, sign of the Kummer argument, S prefactor?, e^{-u} factor?,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError, SemanticError
 from .kummer import MAX_DEGREE
@@ -51,15 +51,13 @@ _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 _INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
 
 
-@dataclass(frozen=True)
-class SolutionExpr:
+class SolutionExpr(namedtuple("SolutionExpr", "combo pipeline")):
     """A base combination followed by an ordered (possibly empty) pipeline."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__ too
 
-    combo: BaseCombo
-    pipeline: tuple[GroupElement, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "pipeline", tuple(self.pipeline))
+    def __new__(cls, combo: BaseCombo, pipeline: tuple[GroupElement, ...] = ()):
+        return tuple.__new__(cls, (combo, tuple(pipeline)))
 
 
 class _Scanner:

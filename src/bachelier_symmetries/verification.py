@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from . import reference_forms
@@ -97,13 +97,10 @@ TOL_SURFACE = 1e-9
 TOL_CONTIGUOUS = 1e-12
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    tolerance: float
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed measured tolerance detail",
+                             defaults=("",))):
+    """One row of a suite: the measured worst case, its tolerance, and the verdict."""
+    __slots__ = ()
 
 
 def _check(name: str, measured: float, tolerance: float, detail: str) -> CheckResult:

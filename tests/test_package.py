@@ -1,7 +1,14 @@
 """The package root offers one public name per operation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import bachelier_symmetries
 from bachelier_symmetries import solutions, symmetry
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the root's other names for chain_function and ComboSolution
 ALIASES = ("eval_term", "eval_term_partials", "pullback", "pullback_chain", "transformed")
@@ -18,3 +25,14 @@ def test_module_surfaces_leave_out_the_aliases():
     for module in (solutions, symmetry):
         assert all(hasattr(module, name) for name in module.__all__)
         assert set(module.__all__).isdisjoint(ALIASES + ("fixed_surface_check",))
+
+
+def test_cold_import_loads_no_dataclasses_typing_or_inspect():
+    # the value types are named tuples and the annotations come from
+    # collections.abc; the same one-liner is a step of the python -S CI job
+    guard = ("import bachelier_symmetries.cli, sys; "
+             "loaded = {'dataclasses', 'typing', 'inspect'} & set(sys.modules); "
+             "sys.exit(f'loaded at import: {sorted(loaded)}' if loaded else 0)")
+    proc = subprocess.run([sys.executable, "-S", "-c", guard], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr

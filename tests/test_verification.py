@@ -28,6 +28,15 @@ def test_a_large_rate_prints_every_group_row(r):
     assert len(ver.run_scope("groups", ModelParams(r, 0.2))) == 13
 
 
+@pytest.mark.parametrize("r, name", [(200.0, "moved_by_G4_C1[0]"), (6.0, "moved_by_G5_C4[-2]")])
+def test_a_large_rate_still_tells_moved_from_fixed(r, name):
+    # the field's components carry e^{-2rt} or e^{-rt}: a defect normalised by
+    # a scale floored at 1 read these moved graphs as fixed (2.7e-15, 4.9e-12)
+    flags = {res.name: res for res in ver.invariance_flags(ModelParams(r, 0.2))}
+    assert flags[name].passed and flags[name].measured > 0.5
+    assert flags["fixed_under_G1_C1[0]"].passed and flags["fixed_under_G1_C1[0]"].measured == 0.0
+
+
 def test_tangency_counts_the_draws_it_measured():
     # at r = 6 two G4 draws and one G5 draw fall outside the domain
     details = {res.name: res.detail for res in ver.generator_tangency(ModelParams(6.0, 0.2))}
