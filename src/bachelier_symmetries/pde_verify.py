@@ -188,14 +188,14 @@ def residual_scan(
     as a failure.
 
     The scan is a deterministic row-major sweep (t outer, S inner), so
-    reports are reproducible, and a transported f composes its pipeline
-    once per row. f may also be evaluated concurrently by callers: every
-    function in this package is safe for that, the transported ones too,
-    because their one-entry row cache is read once and replaced whole and
-    holds a record that depends on t alone, so no call can see another
-    t's record. This scanner itself stays sequential. The worst point is
-    the first one with the largest residual, or the first with a NaN
-    residual.
+    reports are reproducible, a transported f composes its pipeline once per
+    row, and a combination sweeps its Kummer factors once per price. f may
+    also be evaluated concurrently by callers: every function in this
+    package is safe for that, because the one-entry row cache of a transport
+    and the price cache of a combination store only whole records, of t
+    alone and of S alone, so no call can see another t's record or another
+    price's. This scanner itself stays sequential. The worst point is the
+    first one with the largest residual, or the first with a NaN residual.
     """
     if mode == "analytic":
         if not hasattr(f, "partials"):

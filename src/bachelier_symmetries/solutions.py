@@ -19,14 +19,15 @@ The equation is linear, so finite weighted sums of members are again
 solutions; `BaseCombo` holds such a sum and `ComboSolution` evaluates it
 and its partials with exactly rounded summation (math.fsum), so tabulated
 output is reproducible across platforms. `ComboSolution` compiles each term
-once, into a kernel that holds its Kummer table (see `kummer`), so a point
-costs one Kummer sweep and one guarded exponential per term. A bare
-`SolutionTerm` is a one-term combination: a member has one formula. Where
-fsum overflows on an intermediate sum although the total is in range, the
-terms are added exactly as fractions and rounded once, an exactly rounded
-sum as well. A value or partial that leaves the float range (a squared
-price that overflows, an exponent past the guard, a non-finite sum) raises
-RangeError; no inf or NaN is returned.
+once, into a kernel that holds its Kummer table (see `kummer`), so a value
+costs one Kummer sweep and one guarded exponential per term, and partials one
+exponential per term and one sweep per term per distinct price, which each
+instance keeps. A bare `SolutionTerm` is a one-term combination: a member
+has one formula. Where fsum overflows on an intermediate sum although the
+total is in range, the terms are added exactly as fractions and rounded
+once, an exactly rounded sum as well. A value or partial that leaves the
+float range (a squared price that overflows, an exponent past the guard, a
+non-finite sum) raises RangeError; no inf or NaN is returned.
 
 Negative rates are allowed (u simply goes negative, which the polynomial
 factor absorbs). r = 0 is rejected at construction: two of the symmetry
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 EXP_GUARD = 700.0
+_COLUMNS = 256  # prices whose partials columns a ComboSolution keeps; a 201-wide table fits
 
 
 def safe_exp(x: float) -> float:
@@ -163,12 +165,23 @@ class ComboSolution:
 
     Construction compiles each term into a kernel: its weight, the sign of
     its Kummer argument, its S-prefactor and Gaussian flags, its carrier
-    rate alpha = (na n + nb) r and its Kummer table. A point then computes u
-    (and its S-derivatives) once, and per term runs one Kummer sweep and one
-    guarded exponential.
+    rate alpha = (na n + nb) r and its Kummer table. A value computes u
+    once, and per term runs one Kummer sweep and one guarded exponential.
+
+    Everything in the partials but the carrier depends on S alone, so
+    ``partials`` keeps a column per distinct price: per term (coeff, alpha,
+    g, f0, f1, f2), the S-only factor with its S-derivatives, and g = u for
+    a Gaussian class, else 0.0. A point then costs one e^{alpha t - g} per
+    term. The columns are a dict keyed by the price and cleared when it
+    holds _COLUMNS of them. A zero price also matches its sign, which S f0
+    and du carry. Errors are never cached: a price whose square overflows
+    raises before anything is stored. A column is built whole before it is
+    stored, so threads may share an instance; the size check and the store
+    are two steps, so threads that store at once may pass the bound by one
+    column each before the next clear.
     """
 
-    __slots__ = ("combo", "params", "_kernels")
+    __slots__ = ("combo", "params", "_kernels", "_columns")
 
     def __init__(self, combo: BaseCombo | SolutionTerm, params: ModelParams):
         if isinstance(combo, SolutionTerm):
@@ -183,6 +196,7 @@ class ComboSolution:
                             (na * term.order_n + nb) * params.r,
                             kummer._tables(term.degree, b)))
         self._kernels = tuple(kernels)
+        self._columns = {}
 
     def __call__(self, t: float, S: float) -> float:
         u = _argument(S, self.params)
@@ -203,39 +217,55 @@ class ComboSolution:
             raise RangeError(f"combination value at (t, S) = ({t!r}, {S!r}) is not finite")
         return value
 
-    def partials(self, t: float, S: float) -> tuple[float, float, float, float]:
-        """Value and exact partials (C, C_t, C_S, C_SS) at (t, S).
-
-        Per term, (value, d/dS, d2/dS2) of the Kummer factor by the chain
-        rule through v = sign * u, times those of the S prefactor (S, 1, 0)
-        and of the Gaussian factor (1, -u', u'^2 - u'') over its exponential
-        by the product rule. The t dependence is the carrier alone, so
-        C_t = alpha C. The carrier and the Gaussian share one exponential,
-        rounded as in the value path.
-        """
-        r, sigma = self.params.r, self.params.sigma
+    def _column(self, S: float):
+        columns = self._columns
+        entry = columns.get(S)
+        # equal floats have equal bits but for 0.0 == -0.0: a zero also matches its sign
+        if entry is not None and (S or math.copysign(1.0, S) == math.copysign(1.0, entry[0])):
+            return entry[1]
+        r, sigma = self.params
         u = _argument(S, self.params)
-        du = 2.0 * r * S / sigma**2
-        d2u = 2.0 * r / sigma**2
+        du, d2u = 2.0 * r * S / sigma**2, 2.0 * r / sigma**2
         du2 = du * du
         g1, g2 = -du, du2 - d2u
-        rows = []
+        column = []
         for coeff, sgn, with_price, with_gauss, alpha, table in self._kernels:
             p0, p1, p2 = _sweep(table, sgn * u)
             f0, f1, f2 = p0, sgn * du * p1, du2 * p2 + sgn * d2u * p1
             if with_price:  # 0.0 * f0 carries a non-finite f0 into f2
                 f0, f1, f2 = S * f0, f0 + S * f1, 0.0 * f0 + 2.0 * f1 + S * f2
-            exponent = alpha * t
             if with_gauss:
                 f1, f2 = g1 * f0 + f1, g2 * f0 + 2.0 * g1 * f1 + f2
-                exponent -= u
-            carrier = coeff * safe_exp(exponent)
+            column.append((coeff, alpha, u if with_gauss else 0.0, f0, f1, f2))
+        column = tuple(column)
+        if len(columns) >= _COLUMNS:
+            columns.clear()
+        columns[S] = (S, column)
+        return column
+
+    def partials(self, t: float, S: float) -> tuple[float, float, float, float]:
+        """Value and exact partials (C, C_t, C_S, C_SS) at (t, S).
+
+        The price's column holds, per term, (value, d/dS, d2/dS2) of the
+        Kummer factor by the chain rule through v = sign * u, times those of
+        the S prefactor (S, 1, 0) and of the Gaussian factor (1, -u',
+        u'^2 - u'') over its exponential by the product rule. The t
+        dependence is the carrier alone, so C_t = alpha C; carrier and
+        Gaussian share one exponential, e^{alpha t - g}, as in the value path.
+        """
+        rows = []
+        for coeff, alpha, g, f0, f1, f2 in self._column(S):
+            carrier = coeff * safe_exp(alpha * t - g)
             c = carrier * f0
             rows.append((c, alpha * c, carrier * f1, carrier * f2))
-        try:
-            sums = tuple(map(math.fsum, zip(*rows)))
-        except (OverflowError, ValueError):
-            sums = tuple(map(_exact_sum, zip(*rows)))
+        if len(rows) == 1:  # fsum of one float, but for -0.0, which it sums to 0.0
+            (c, c_t, c_s, c_ss), = rows
+            sums = (c + 0.0, c_t + 0.0, c_s + 0.0, c_ss + 0.0)
+        else:
+            try:
+                sums = tuple(map(math.fsum, zip(*rows)))
+            except (OverflowError, ValueError):
+                sums = tuple(map(_exact_sum, zip(*rows)))
         c, c_t, c_s, c_ss = sums
         isfinite = math.isfinite
         if not (isfinite(c) and isfinite(c_t) and isfinite(c_s) and isfinite(c_ss)):

@@ -1,15 +1,19 @@
 """Command line: outputs, exit codes, config precedence, determinism."""
 
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bachelier_symmetries.cli import _COMMANDS, _FLAGS, _build_parser, main
 from bachelier_symmetries.reference_forms import g4_family_from_linear
 from bachelier_symmetries.solutions import ModelParams
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -409,6 +413,6 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bachelier_symmetries", "eval",
          "--expr", "C1[0]", "--t", "0", "--S", "2.5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0
     assert proc.stdout == "2.5\n"

@@ -1,4 +1,7 @@
-"""Transport by one composed record per t: the row cache and the per-point walk as an oracle."""
+"""Caches that must not show: the row cache of a transport, the price cache of a base.
+
+Also the per-point walk, as an oracle for transport by one composed record per t.
+"""
 
 import math
 import random
@@ -8,7 +11,8 @@ import threading
 import pytest
 
 from bachelier_symmetries.errors import DomainError, RangeError
-from bachelier_symmetries.solutions import ComboSolution, ModelParams, SolutionTerm, safe_exp
+from bachelier_symmetries.solutions import (
+    _COLUMNS, BaseCombo, ComboSolution, ModelParams, SolutionTerm, safe_exp)
 from bachelier_symmetries.spec_lang import expression_function, parse_expr
 from bachelier_symmetries.symmetry import GroupElement, chain_function
 import walk_oracle
@@ -40,6 +44,21 @@ def fresh(expr, t, S):
 
 def shared(f, t, S):
     return bits(lambda: f(t, S)), bits(lambda: f.partials(t, S))
+
+
+def in_threads(sweep):
+    """Run sweep(seed) for seeds 0-3 in four threads that switch as often as possible."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 class TestRowCache:
@@ -103,18 +122,98 @@ class TestRowCache:
                     mismatches.append(point)
             done.append(seed)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            threads = [threading.Thread(target=sweep, args=(seed,)) for seed in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        in_threads(sweep)
         assert sorted(done) == [0, 1, 2, 3] and mismatches == []
+
+
+P_NEG = ModelParams(r=-0.03, sigma=0.2)
+MULTI = BaseCombo((SolutionTerm(1, -2, 1.0), SolutionTerm(2, -8, -0.5),
+                   SolutionTerm(3, -20, 1.2), SolutionTerm(4, -12, 0.9)))
+# each combination at both rates; class 1 and 3 members carry the S prefactor
+BASES = [(combo, params) for combo in (MULTI, BaseCombo((SolutionTerm(1, -6, -1.5),)),
+                                       BaseCombo((SolutionTerm(4, -4, 0.7),)))
+         for params in (P, P_NEG)]
+BASE_IDS = [f"{name}-r={params.r}" for name in ("multi", "C1", "C4") for params in (P, P_NEG)]
+TIMES = (0.0, -0.0, 0.5, 1.0)
+PRICES = (-1.5, -0.3, -0.0, 0.0, 0.45, 1.5)
+
+
+def fresh_partials(combo, params, t, S):
+    """Partials at (t, S) from an instance that never saw another price."""
+    return bits(lambda: ComboSolution(combo, params).partials(t, S))
+
+
+class TestPriceCache:
+    @pytest.mark.parametrize("combo,params", BASES, ids=BASE_IDS)
+    def test_order_does_not_change_a_result(self, combo, params):
+        # points are indices: 0.0 == -0.0, so (t, S) would not tell the zeros apart
+        points = [(t, S) for t in TIMES for S in PRICES]
+        expected = [fresh_partials(combo, params, *point) for point in points]
+        rng = random.Random(1729)
+        f = ComboSolution(combo, params)
+        # row-major, shuffled, then every point with another price in between
+        shuffled = list(range(len(points)))
+        rng.shuffle(shuffled)
+        interleaved = [k for i in range(len(points)) for k in (i, None)]
+        for order in (range(len(points)), shuffled, interleaved):
+            for i in order:
+                if i is None:
+                    f.partials(rng.choice(TIMES), 0.8)
+                else:
+                    assert bits(lambda: f.partials(*points[i])) == expected[i], points[i]
+
+    def test_signed_zero_prices_are_not_shared(self):
+        # the S prefactor makes the column's f0 = S F a signed zero
+        f = ComboSolution(MULTI, P)
+        for S in (0.0, -0.0, 0.0):
+            assert bits(lambda: f.partials(0.5, S)) == fresh_partials(MULTI, P, 0.5, S)
+            assert math.copysign(1.0, f._column(S)[0][3]) == math.copysign(1.0, S)
+
+    @pytest.mark.parametrize("combo", [BaseCombo((SolutionTerm(1, -2), SolutionTerm(3, -4))),
+                                       SolutionTerm(1, -6, 1.5)], ids=["C1+C3", "C1"])
+    def test_sums_of_negative_zeros_are_positive_zeros(self, combo):
+        # every term is S times a factor: math.fsum of -0.0s is 0.0, and so are
+        # the one-term partials, which skip fsum
+        f = ComboSolution(combo, P)
+        assert repr(f(0.5, -0.0)) == repr(f.partials(0.5, -0.0)[0]) == "0.0"
+
+    def test_overflowing_price_is_raised_afresh_and_not_stored(self):
+        f = ComboSolution(MULTI, P)
+        for _ in range(2):
+            with pytest.raises(RangeError, match=r"overflows at S = 1e\+200"):
+                f.partials(0.5, 1e200)
+        assert f._columns == {}
+
+    def test_cache_stays_within_its_bound(self):
+        f = ComboSolution(MULTI, P)
+        prices = [k / 1000.0 for k in range(2 * _COLUMNS + 7)]
+        sizes = []
+        for S in prices + prices[:3]:
+            assert bits(lambda: f.partials(0.25, S)) == fresh_partials(MULTI, P, 0.25, S)
+            sizes.append(len(f._columns))
+        assert max(sizes) == _COLUMNS
+
+    def test_threads_sharing_one_instance(self):
+        # more prices than the bound, so the cache is cleared under the others too
+        points = [(t, k / 100.0 - 1.5) for t in (0.0, 1.0) for k in range(_COLUMNS + 45)]
+        expected = [fresh_partials(MULTI, P, *point) for point in points]
+        f = ComboSolution(MULTI, P)
+        mismatches, done, sizes = [], [], []
+
+        def sweep(seed):
+            order = list(range(len(points))) * 3
+            random.Random(seed).shuffle(order)
+            for i in order:
+                if bits(lambda: f.partials(*points[i])) != expected[i]:
+                    mismatches.append(points[i])
+                sizes.append(len(f._columns))
+            done.append(seed)
+
+        in_threads(sweep)
+        assert sorted(done) == [0, 1, 2, 3] and mismatches == []
+        # a check and a store are two steps: each of the other three threads
+        # may store one column past the bound before the next clear
+        assert max(sizes) <= _COLUMNS + 3
 
 
 # Per group, the parameter range of the oracle draws (G4/G5 reach their domain boundary).
