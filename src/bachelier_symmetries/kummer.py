@@ -107,9 +107,12 @@ def _tables(m, b: float):
 
 
 def _value(table, u: float) -> float:
-    """F(-m, b; u) from a ``_tables`` entry."""
+    """F(-m, b; u) from a ``_tables`` entry; the F of ``_sweep``, bit for bit."""
     if u > _RECURRENCE_FROM:
-        return _sweep(table, u)[0]
+        f1, f = 0.0, 1.0
+        for n, c, d in table[3]:
+            f1, f = f, ((c - u) * f - n * f1) / d
+        return f
     acc = 0.0
     for c in table[1]:
         acc = acc * u + c

@@ -208,7 +208,9 @@ class ComboSolution:
             exponent = alpha * t
             if with_gauss:
                 exponent -= u
-            values.append(coeff * value * safe_exp(exponent))
+            if abs(exponent) > EXP_GUARD:  # safe_exp's guard; it is called only to raise
+                safe_exp(exponent)
+            values.append(coeff * value * math.exp(exponent))
         try:
             value = math.fsum(values)
         except (OverflowError, ValueError):  # an intermediate sum overflows, or inf - inf
@@ -253,9 +255,13 @@ class ComboSolution:
         dependence is the carrier alone, so C_t = alpha C; carrier and
         Gaussian share one exponential, e^{alpha t - g}, as in the value path.
         """
+        entry = self._columns.get(S)  # a zero price goes to _column, which matches its sign
         rows = []
-        for coeff, alpha, g, f0, f1, f2 in self._column(S):
-            carrier = coeff * safe_exp(alpha * t - g)
+        for coeff, alpha, g, f0, f1, f2 in entry[1] if entry is not None and S else self._column(S):
+            exponent = alpha * t - g
+            if abs(exponent) > EXP_GUARD:
+                safe_exp(exponent)
+            carrier = coeff * math.exp(exponent)
             c = carrier * f0
             rows.append((c, alpha * c, carrier * f1, carrier * f2))
         if len(rows) == 1:  # fsum of one float, but for -0.0, which it sums to 0.0

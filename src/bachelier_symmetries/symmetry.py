@@ -38,12 +38,12 @@ at that pre-image times one e^{-K}, because
 e^{k_eps(t0, S0)} = e^{-k_{-eps}(t', S')}; the exponent guard judges K
 alone, so G6(a) | G6(b) fares as G6(a + b). Exact partials apply the chain
 rule once to the composed record, whatever the depth. The record depends on
-t alone, so a transported solution keeps the last one: a row of prices at
-one t costs one composition. G_4 and G_5 involve a logarithm and a square
-root, so both directions carry domain conditions, on t alone, checked at
-each evaluation: there is no global admissible parameter range, and a row
-is in or out as a whole. A failed pre-image raises DomainError with the
-pipeline stage it failed at and the message prefix "pipeline stage i: ".
+t alone, so a transported solution keeps it per t, a failed one too: one
+composition per distinct t per instance. G_4 and G_5 involve a logarithm
+and a square root, so both directions carry domain conditions, on t alone:
+there is no global admissible parameter range, and a row is in or out as a
+whole. A failed pre-image raises DomainError with the pipeline stage it
+failed at and the message prefix "pipeline stage i: ".
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from collections.abc import Callable, Iterable, Sequence
 from .errors import DomainError, InvalidParameter, RangeError, finite_real, integer
 from .pde_verify import sampled, worst_case
 from .solutions import (
+    EXP_GUARD,
     ComboSolution,
     ModelParams,
     SolutionTerm,
@@ -76,6 +77,7 @@ __all__ = [
 
 # d/deps of forward_map at eps = 0 equals FLOW_ORIENTATION[i-1] * xi_i.
 FLOW_ORIENTATION = (1.0, 1.0, 1.0, -1.0, -1.0, 1.0)
+_ROWS = 256  # times whose composed records a transported solution keeps; a 201-row table fits
 
 
 class GroupElement(namedtuple("GroupElement", "gen_index epsilon")):
@@ -270,54 +272,86 @@ class _Transported:
     whatever the depth. It needs a base that has ``partials`` and raises
     InvalidParameter otherwise. A DomainError raised while inverting some
     stage carries that stage's zero-based index; a K beyond the exponent
-    guard, or a non-finite result, raises RangeError.
+    guard, or a non-finite result, raises RangeError; the base is evaluated
+    before K is judged.
 
-    The composed record depends on t alone, so the last one is kept for
-    the next call at the same t: a row of prices costs one composition.
-    The cache is one attribute, read once and replaced whole, so callers
-    in several threads see a record of the t they asked for. Errors are
-    never cached; they are raised afresh at each call.
+    The composed record depends on t alone, so each t's is kept: a row of
+    prices, or the shifted times of every FD stencil on it, costs one
+    composition per distinct t. The rows are a dict keyed by t, cleared when
+    it holds _ROWS of them; a zero t also matches its sign. A composition's
+    failure is kept per t, and raised afresh with the same type, message and
+    stage; a point's is not. A row is built whole before it is stored, so
+    threads may share an instance; threads that store at once may pass the
+    bound by a row each before the next clear.
     """
 
-    __slots__ = ("stages", "base", "params", "_row")
+    __slots__ = ("stages", "base", "params", "_rows")
 
     def __init__(self, stages, base, params):
         self.stages = stages
         self.base = base
         self.params = params
-        self._row = (math.nan, None)
+        self._rows = {}
 
-    def _record(self, t):
-        row = self._row
-        # equal floats have equal bits but for 0.0 == -0.0, which a pipeline
-        # that keeps t hands on to the base: a zero also matches its sign
-        if row[0] == t and (t or math.copysign(1.0, t) == math.copysign(1.0, row[0])):
-            return row[1]
-        record = _compose(self.stages, t, self.params)
-        self._row = (t, record)
-        return record
+    def _row(self, t):
+        # a miss, a kept failure or a zero t: equal floats have equal bits but
+        # for 0.0 == -0.0, which a pipeline that keeps t hands on to the base,
+        # so a zero also matches its sign
+        rows = self._rows
+        row = rows.get(t)
+        if row is not None and (t or math.copysign(1.0, t) == math.copysign(1.0, row[0])):
+            if row[1] is None:
+                kind, args = row[2]
+                raise kind(*args)
+            return row
+        if len(rows) >= _ROWS:
+            rows.clear()
+        try:
+            rows[t] = row = (t, _compose(self.stages, t, self.params), None)
+        except (DomainError, RangeError) as err:
+            args = (str(err), err.stage) if isinstance(err, DomainError) else (str(err),)
+            rows[t] = (t, None, (type(err), args))
+            raise
+        return row
 
     def __call__(self, t: float, S: float) -> float:
-        t0, S0, K = _point(self._record(t), S)
-        return _finite((self.base(t0, S0) * safe_exp(-K),), t, S)[0]
+        row = self._rows.get(t)
+        if row is None or row[1] is None or not t:
+            row = self._row(t)
+        T, _, A, _, B, _, k0, _, k1, _, k2, _ = row[1]
+        K = k0 + (k1 + k2 * S) * S
+        value = self.base(T, A * S + B)
+        if abs(K) > EXP_GUARD:  # safe_exp's guard; it is called only to raise
+            safe_exp(-K)
+        value *= math.exp(-K)
+        if not math.isfinite(value):
+            _finite((value,), t, S)
+        return value
 
     def partials(self, t: float, S: float) -> tuple[float, float, float, float]:
         base_partials = getattr(self.base, "partials", None)
         if base_partials is None:
             raise InvalidParameter(
                 "exact partials of a transported solution need a base with partials(t, S)")
-        record = self._record(t)
-        t0, S0, K = _point(record, S)
-        _, dT, A, dA, _, dB, _, dk0, k1, dk1, k2, dk2 = record
-        c, c_t, c_s, c_ss = base_partials(t0, S0)
+        row = self._rows.get(t)
+        if row is None or row[1] is None or not t:
+            row = self._row(t)
+        T, dT, A, dA, B, dB, k0, dk0, k1, dk1, k2, dk2 = row[1]
+        c, c_t, c_s, c_ss = base_partials(T, A * S + B)
+        K = k0 + (k1 + k2 * S) * S
+        if abs(K) > EXP_GUARD:
+            safe_exp(-K)
         # C(t, S) = e^{-K} c(T, A S + B); linear in c, so e^{-K} scales all four
         K_S = k1 + 2.0 * k2 * S
-        E = safe_exp(-K)
-        return _finite((E * c,
-                        E * (dT * c_t + (dA * S + dB) * c_s - (dk0 + (dk1 + dk2 * S) * S) * c),
-                        E * (A * c_s - K_S * c),
-                        E * (A * A * c_ss - 2.0 * K_S * A * c_s + (K_S * K_S - 2.0 * k2) * c)),
-                       t, S)
+        E = math.exp(-K)
+        C = E * c
+        C_t = E * (dT * c_t + (dA * S + dB) * c_s - (dk0 + (dk1 + dk2 * S) * S) * c)
+        C_S = E * (A * c_s - K_S * c)
+        C_SS = E * (A * A * c_ss - 2.0 * K_S * A * c_s + (K_S * K_S - 2.0 * k2) * c)
+        isfinite = math.isfinite
+        if not (isfinite(C) and isfinite(C_t) and isfinite(C_S) and isfinite(C_SS)):
+            _finite((C, C_t, C_S, C_SS), t, S)
+        return C, C_t, C_S, C_SS
 
 
 def chain_function(

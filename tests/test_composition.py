@@ -1,4 +1,4 @@
-"""Caches that must not show: the row cache of a transport, the price cache of a base.
+"""Caches that must not show: the record table of a transport, the price cache of a base.
 
 Also the per-point walk, as an oracle for transport by one composed record per t.
 """
@@ -10,11 +10,14 @@ import threading
 
 import pytest
 
+from bachelier_symmetries import symmetry
 from bachelier_symmetries.errors import DomainError, RangeError
+from bachelier_symmetries.pde_verify import residual_scan
 from bachelier_symmetries.solutions import (
     _COLUMNS, BaseCombo, ComboSolution, ModelParams, SolutionTerm, safe_exp)
 from bachelier_symmetries.spec_lang import expression_function, parse_expr
-from bachelier_symmetries.symmetry import GroupElement, chain_function
+from bachelier_symmetries.symmetry import _ROWS, GroupElement, chain_function
+from bachelier_symmetries.verification import FD_GRID
 import walk_oracle
 
 P = ModelParams(r=0.05, sigma=0.2)
@@ -44,6 +47,18 @@ def fresh(expr, t, S):
 
 def shared(f, t, S):
     return bits(lambda: f(t, S)), bits(lambda: f.partials(t, S))
+
+
+def counted_compositions(monkeypatch):
+    """A list that grows by one at each ``symmetry._compose`` call from here on."""
+    calls, compose = [], symmetry._compose
+
+    def counted(stages, t, params):
+        calls.append(t)
+        return compose(stages, t, params)
+
+    monkeypatch.setattr(symmetry, "_compose", counted)
+    return calls
 
 
 def in_threads(sweep):
@@ -80,6 +95,7 @@ class TestRowCache:
                     shared(f, *point)
 
     def test_domain_error_row_is_raised_afresh(self):
+        # the failed composition at t = 0.25 is kept, and raised again as it was
         f = expression_function(BOUNDARY, P)
         outside, inside = (0.25, 1.0), (0.75, 1.0)
         expected_outside = fresh(BOUNDARY, *outside)
@@ -92,7 +108,8 @@ class TestRowCache:
             assert shared(f, *point) == expected
 
     def test_range_error_is_raised_afresh(self):
-        # the summed factor e^{800} fails the guard at every S of the row
+        # the summed factor e^{800} fails the guard at every S of the row; the
+        # record composes, so this is a point's failure, judged at each call
         f = chain_function((GroupElement(6, -400.0), GroupElement(6, -400.0)),
                            ComboSolution(SolutionTerm(1, 0), P), P)
         for _ in range(2):
@@ -100,6 +117,61 @@ class TestRowCache:
                 f(0.5, 1.0)
             with pytest.raises(RangeError, match=r"exceeds the \+/-700 guard"):
                 f.partials(0.5, -1.0)
+
+    def test_fd_scan_composes_once_per_stencil_time(self, monkeypatch):
+        # 6 rows of 6 stencils, each at t, t +/- h and t +/- h/2: 30 distinct t
+        f = chain_function((GroupElement(4, 0.2),), ComboSolution(SolutionTerm(3, -2), P), P)
+        calls = counted_compositions(monkeypatch)
+        report = residual_scan(f, FD_GRID, P, mode="fd")
+        assert report.evaluated == 36 and len(calls) == len(set(calls)) == 30
+
+    def test_failing_row_composes_once(self, monkeypatch):
+        f = expression_function(BOUNDARY, P)
+        calls = counted_compositions(monkeypatch)
+        outcomes = set()
+        for k in range(41):
+            S = -2.0 + 0.1 * k
+            for call in (f, f.partials):
+                with pytest.raises(DomainError) as info:
+                    call(0.25, S)
+                outcomes.add((type(info.value), str(info.value), info.value.stage))
+        assert calls == [0.25]
+        (kind, message, stage), = outcomes
+        assert kind is DomainError and stage == 0
+        assert message.startswith("pipeline stage 0: no pre-image under G4(1.05)")
+
+    def test_failing_record_range_error_composes_once(self, monkeypatch):
+        # G2's drift e^{rt} passes the guard at t = 20000, r = 0.05: the record fails
+        f = chain_function((GroupElement(2, 1.0),), ComboSolution(SolutionTerm(1, 0), P), P)
+        calls = counted_compositions(monkeypatch)
+        messages = set()
+        for S in (1.0, -0.5):
+            with pytest.raises(RangeError) as info:
+                f(20000.0, S)
+            messages.add(str(info.value))
+        assert calls == [20000.0]
+        assert messages == {"exponent 1000 exceeds the +/-700 guard"}
+
+    def test_table_stays_within_its_bound(self, monkeypatch):
+        f = expression_function(PIPELINED, P)
+        times = [k / 1000.0 for k in range(2 * _ROWS + 7)]
+        calls = counted_compositions(monkeypatch)
+        sizes = []
+        for t in times + times[-3:]:
+            assert shared(f, t, 0.3) == fresh(PIPELINED, t, 0.3)
+            sizes.append(len(f._rows))
+        assert max(sizes) == _ROWS
+        # fresh() composes once per call, the shared instance once per distinct t
+        assert len(calls) == 2 * len(times + times[-3:]) + len(times)
+
+    def test_a_base_failure_precedes_the_exponent_guard(self):
+        # K = -801 fails the guard, but the base fails first at S0 = 1e200
+        f = expression_function(parse_expr("C1[0] | G6(801)"), P)
+        for call in (f, f.partials):
+            with pytest.raises(RangeError, match=r"\(S / sigma\)\^2 overflows at S = 1e\+200"):
+                call(0.25, 1e200)
+            with pytest.raises(RangeError, match=r"exponent 801 exceeds the \+/-700 guard"):
+                call(0.25, 1.0)
 
     def test_signed_zero_times_are_not_shared(self):
         # 0.0 == -0.0, but a pipeline that keeps t hands the sign on to the base
@@ -124,6 +196,28 @@ class TestRowCache:
 
         in_threads(sweep)
         assert sorted(done) == [0, 1, 2, 3] and mismatches == []
+
+    def test_threads_over_more_times_than_the_bound(self):
+        # rows in and out of the G4 domain, and the table cleared under the others
+        times = [k / 300.0 for k in range(_ROWS + 45)]
+        expected = [fresh(BOUNDARY, t, 0.3) for t in times]
+        f = expression_function(BOUNDARY, P)
+        mismatches, done, sizes = [], [], []
+
+        def sweep(seed):
+            order = list(range(len(times))) * 3
+            random.Random(seed).shuffle(order)
+            for i in order:
+                if shared(f, times[i], 0.3) != expected[i]:
+                    mismatches.append(times[i])
+                sizes.append(len(f._rows))
+            done.append(seed)
+
+        in_threads(sweep)
+        assert sorted(done) == [0, 1, 2, 3] and mismatches == []
+        # a check and a store are two steps: each of the other three threads
+        # may store one row past the bound before the next clear
+        assert max(sizes) <= _ROWS + 3
 
 
 P_NEG = ModelParams(r=-0.03, sigma=0.2)

@@ -278,6 +278,16 @@ def test_positive_argument_against_exact_rational_evaluation(order, fn):
                 assert error <= 1e-12, (m, b, u, float(error))
 
 
+def test_value_is_the_sweep_value_bit_for_bit():
+    # _value runs the recurrence for F alone above u = 1/2, Horner below it
+    grid = [k / 8.0 for k in range(-320, 321)] + [math.nextafter(0.5, 1.0), 0.3, 7.77]
+    for m in range(kummer.MAX_DEGREE + 1):
+        for b in (0.5, 1.5):
+            table = kummer._tables(m, b)
+            for u in grid:
+                assert repr(kummer._value(table, u)) == repr(kummer._sweep(table, u)[0]), (m, b, u)
+
+
 def test_base_residual_sees_a_perturbed_recurrence(monkeypatch):
     """F'' above u = 1/2 does not come from Kummer's equation, so the
     analytic PDE residual sees an error in the degree recurrence."""
