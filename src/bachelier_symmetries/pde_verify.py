@@ -53,11 +53,12 @@ class EvalPoint(namedtuple("EvalPoint", "t S")):
 def _axis(bounds: tuple[float, float], n: int) -> list[float]:
     lo, hi = bounds
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    # the ends as given: lo + (n - 1) step may round off hi, and lo + 0.0 drops a -0.0
+    return [lo, *[lo + i * step for i in range(1, n - 1)], hi]
 
 
 class GridSpec(namedtuple("GridSpec", "t_range S_range nt nS")):
-    """Rectangular evaluation grid, inclusive of both range endpoints."""
+    """Rectangular evaluation grid: each axis is lo, lo + i * step, ..., hi, both ends exact."""
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__ too
 
@@ -185,7 +186,9 @@ def residual_scan(
     ``partials(t, S)`` method; combo-backed solutions do, and so do
     pipelines over them (``chain_function``). mode "fd" works on any
     callable. Points are drawn through ``sampled``: a skipped point counts
-    as a failure.
+    as a failure. In analytic mode the sample is ``f.partials`` itself, and
+    the loop computes ``residual_from_partials`` inline, the same operations
+    in the same order; in mode "fd" each point is one ``residual_fd`` call.
 
     The scan is a deterministic row-major sweep (t outer, S inner), so
     reports are reproducible, a transported f composes its pipeline once per
@@ -203,19 +206,25 @@ def residual_scan(
             raise InvalidParameter(
                 "analytic mode needs exact partials via partials(t, S); "
                 "scan other callables with mode='fd'")
-
-        def residual(t: float, S: float) -> float:
-            c, c_t, c_s, c_ss = f.partials(t, S)
-            return residual_from_partials(c, c_t, c_s, c_ss, S, params)[1]
+        measure = f.partials
     elif mode == "fd":
-        def residual(t: float, S: float) -> float:
+        def measure(t: float, S: float) -> float:
             return residual_fd(f, t, S, params)[1]
     else:
         raise InvalidParameter(f"mode must be 'analytic' or 'fd', got {mode!r}")
+    r, half_var = params.r, 0.5 * params.sigma**2
     worst, worst_point, evaluated = -1.0, None, 0
-    for point, normalized in sampled(residual, product(grid.t_points(), grid.S_points())):
+    for point, normalized in sampled(measure, product(grid.t_points(), grid.S_points())):
         evaluated += 1
-        if _worse(normalized, worst):
+        if not isinstance(normalized, float):  # partials: residual_from_partials, inline
+            c, c_t, c_s, c_ss = normalized
+            convection = r * point[1] * c_s
+            diffusion = half_var * c_ss
+            discount = r * c
+            raw = convection + diffusion + c_t - discount
+            normalized = abs(raw) / max(1.0, abs(convection), abs(diffusion), abs(c_t),
+                                        abs(discount))
+        if not normalized <= worst and _worse(normalized, worst):  # x <= worst never displaces
             worst = normalized
             worst_point = EvalPoint(*point)
     return ResidualReport(worst if evaluated else 0.0, worst_point,

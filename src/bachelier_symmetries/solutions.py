@@ -171,17 +171,18 @@ class ComboSolution:
     Everything in the partials but the carrier depends on S alone, so
     ``partials`` keeps a column per distinct price: per term (coeff, alpha,
     g, f0, f1, f2), the S-only factor with its S-derivatives, and g = u for
-    a Gaussian class, else 0.0. A point then costs one e^{alpha t - g} per
-    term. The columns are a dict keyed by the price and cleared when it
-    holds _COLUMNS of them. A zero price also matches its sign, which S f0
-    and du carry. Errors are never cached: a price whose square overflows
-    raises before anything is stored. A column is built whole before it is
-    stored, so threads may share an instance; the size check and the store
-    are two steps, so threads that store at once may pass the bound by one
-    column each before the next clear.
+    a Gaussian class, else 0.0; the constants 2 r, sigma^2 and 2 r / sigma^2
+    are computed once per instance. A point then costs one e^{alpha t - g}
+    per term and four exactly rounded sums. The columns are a dict keyed by
+    the price and cleared when it holds _COLUMNS of them. A zero price also
+    matches its sign, which S f0 and du carry. Errors are never cached: a
+    price whose square overflows raises before anything is stored. A column
+    is built whole before it is stored, so threads may share an instance;
+    the size check and the store are two steps, so threads that store at
+    once may pass the bound by one column each before the next clear.
     """
 
-    __slots__ = ("combo", "params", "_kernels", "_columns")
+    __slots__ = ("combo", "params", "_kernels", "_columns", "_scales")
 
     def __init__(self, combo: BaseCombo | SolutionTerm, params: ModelParams):
         if isinstance(combo, SolutionTerm):
@@ -197,6 +198,8 @@ class ComboSolution:
                             kummer._tables(term.degree, b)))
         self._kernels = tuple(kernels)
         self._columns = {}
+        two_r, var = 2.0 * params.r, params.sigma**2
+        self._scales = (two_r, var, two_r / var)  # u' = two_r S / var, and u''
 
     def __call__(self, t: float, S: float) -> float:
         u = _argument(S, self.params)
@@ -225,9 +228,9 @@ class ComboSolution:
         # equal floats have equal bits but for 0.0 == -0.0: a zero also matches its sign
         if entry is not None and (S or math.copysign(1.0, S) == math.copysign(1.0, entry[0])):
             return entry[1]
-        r, sigma = self.params
+        two_r, var, d2u = self._scales
         u = _argument(S, self.params)
-        du, d2u = 2.0 * r * S / sigma**2, 2.0 * r / sigma**2
+        du = two_r * S / var
         du2 = du * du
         g1, g2 = -du, du2 - d2u
         column = []
@@ -254,24 +257,32 @@ class ComboSolution:
         u'^2 - u'') over its exponential by the product rule. The t
         dependence is the carrier alone, so C_t = alpha C; carrier and
         Gaussian share one exponential, e^{alpha t - g}, as in the value path.
+        Each output is one exactly rounded sum over a list of its terms.
         """
         entry = self._columns.get(S)  # a zero price goes to _column, which matches its sign
-        rows = []
+        exp = math.exp
+        values = []
+        slopes = []
+        firsts = []
+        seconds = []
         for coeff, alpha, g, f0, f1, f2 in entry[1] if entry is not None and S else self._column(S):
             exponent = alpha * t - g
-            if abs(exponent) > EXP_GUARD:
+            if not -EXP_GUARD <= exponent <= EXP_GUARD:  # safe_exp raises; a NaN passes it
                 safe_exp(exponent)
-            carrier = coeff * math.exp(exponent)
+            carrier = coeff * exp(exponent)
             c = carrier * f0
-            rows.append((c, alpha * c, carrier * f1, carrier * f2))
-        if len(rows) == 1:  # fsum of one float, but for -0.0, which it sums to 0.0
-            (c, c_t, c_s, c_ss), = rows
-            sums = (c + 0.0, c_t + 0.0, c_s + 0.0, c_ss + 0.0)
+            values.append(c)
+            slopes.append(alpha * c)
+            firsts.append(carrier * f1)
+            seconds.append(carrier * f2)
+        if len(values) == 1:  # fsum of one float, but for -0.0, which it sums to 0.0
+            sums = (values[0] + 0.0, slopes[0] + 0.0, firsts[0] + 0.0, seconds[0] + 0.0)
         else:
             try:
-                sums = tuple(map(math.fsum, zip(*rows)))
+                sums = (math.fsum(values), math.fsum(slopes), math.fsum(firsts),
+                        math.fsum(seconds))
             except (OverflowError, ValueError):
-                sums = tuple(map(_exact_sum, zip(*rows)))
+                sums = tuple(map(_exact_sum, (values, slopes, firsts, seconds)))
         c, c_t, c_s, c_ss = sums
         isfinite = math.isfinite
         if not (isfinite(c) and isfinite(c_t) and isfinite(c_s) and isfinite(c_ss)):

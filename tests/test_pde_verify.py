@@ -1,6 +1,7 @@
 """Residual machinery: exact cases, convergence order, grid reports."""
 
 import math
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,8 @@ from bachelier_symmetries.errors import DomainError, InvalidParameter, RangeErro
 from bachelier_symmetries.pde_verify import (
     EvalPoint,
     GridSpec,
+    ResidualReport,
+    _worse,
     default_step,
     residual_fd,
     residual_from_partials,
@@ -16,10 +19,12 @@ from bachelier_symmetries.pde_verify import (
     sampled,
     worst_case,
 )
+from bachelier_symmetries.reference_forms import worked_combo
 from bachelier_symmetries.solutions import ComboSolution, ModelParams, SolutionTerm
 from bachelier_symmetries.symmetry import GroupElement, transformed
 
 P = ModelParams(r=0.05, sigma=0.2)
+P_NEG = ModelParams(r=-0.03, sigma=0.2)
 
 
 class TestGridSpec:
@@ -27,6 +32,22 @@ class TestGridSpec:
         grid = GridSpec((0.0, 1.0), (-2.0, 2.0), 5, 3)
         assert grid.t_points() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert grid.S_points() == [-2.0, 0.0, 2.0]
+
+    @pytest.mark.parametrize("n", [50, 99])
+    def test_last_point_is_the_high_end(self, n):
+        # 0 + 49 * (1/49) rounds to 0.9999999999999999; the axis ends at 1.0
+        points = GridSpec((0.0, 1.0), (0.0, 1.0), n, 2).t_points()
+        step = 1.0 / (n - 1)
+        assert points[-1] == 1.0 and points[0] == 0.0 and len(points) == n
+        assert repr(points[1:-1]) == repr([i * step for i in range(1, n - 1)])
+
+    def test_two_points_are_the_ends(self):
+        grid = GridSpec((0.1, 0.7), (-2.0, 1e-3), 2, 2)
+        assert grid.t_points() == [0.1, 0.7] and grid.S_points() == [-2.0, 1e-3]
+
+    def test_negative_zero_low_end_keeps_its_sign(self):
+        points = GridSpec((-0.0, 1.0), (-1.0, 1.0), 3, 3).t_points()
+        assert math.copysign(1.0, points[0]) == -1.0 and points == [0.0, 0.5, 1.0]
 
     def test_integral_float_counts_are_usable(self):
         grid = GridSpec((0, 1), (0, 1), 3.0, 3)
@@ -220,6 +241,67 @@ class TestResidualScan:
         assert math.isnan(report.max_normalized)
         assert report.worst_point == EvalPoint(0.0, 0.0)
         assert report.evaluated == 9 and report.failures == 0
+
+
+def _reference_scan(f, grid, params, mode):
+    # the scan as the sample rule, residual_from_partials or residual_fd per
+    # point, and _worse, which residual_scan computes inline
+    def measure(t, S):
+        if mode == "analytic":
+            return residual_from_partials(*f.partials(t, S), S, params)[1]
+        return residual_fd(f, t, S, params)[1]
+
+    worst, worst_point, evaluated = -1.0, None, 0
+    for point, normalized in sampled(measure, product(grid.t_points(), grid.S_points())):
+        evaluated += 1
+        if _worse(normalized, worst):
+            worst, worst_point = normalized, EvalPoint(*point)
+    return ResidualReport(worst if evaluated else 0.0, worst_point,
+                          grid.nt * grid.nS - evaluated, evaluated)
+
+
+_SCAN_GRID = GridSpec((0.0, 1.0), (-2.0, 2.0), 11, 11)
+_FD_GRID = GridSpec((0.0, 1.0), (-2.0, 2.0), 4, 4)
+
+
+def _scan_cases():
+    for params, label in ((P, "r>0"), (P_NEG, "r<0")):
+        for q in (1, 2, 3, 4):
+            for n in (0, -2, -4, -6, -8):
+                yield f"C{q}[{n}] {label}", (SolutionTerm(q, n), None, params)
+        yield f"worked {label}", (worked_combo(), None, params)
+        for g, eps in ((1, 0.3), (2, -0.7), (3, 0.5), (4, 0.2), (5, -0.4), (6, 0.6)):
+            yield f"C3[-2] | G{g}({eps}) {label}", (SolutionTerm(3, -2), GroupElement(g, eps),
+                                                     params)
+    # no pre-image on the t = 0 row, one on the t = 1 row
+    yield "C1[0] | G4(1.05)", (SolutionTerm(1, 0), GroupElement(4, 1.05), P)
+
+
+_SCAN_CASES = dict(_scan_cases())
+
+
+@pytest.mark.parametrize("case", list(_SCAN_CASES))
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_scan_is_its_reference_by_repr(case, mode):
+    combo, g, params = _SCAN_CASES[case]
+    f = ComboSolution(combo, params)
+    if g is not None:
+        f = transformed(g, f, params)
+    grid = _SCAN_GRID if mode == "analytic" else _FD_GRID
+    report = residual_scan(f, grid, params, mode=mode)
+    assert repr(report) == repr(_reference_scan(f, grid, params, mode))
+    if case == "C1[0] | G4(1.05)":
+        assert 0 < report.failures < grid.nt * grid.nS
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_scan_of_a_nan_point_is_its_reference_by_repr(mode):
+    # 1e10 e^{r t} is finite up to t = 13450 and not finite at t = 13900
+    f = ComboSolution(SolutionTerm(2, 0, 1e10), P)
+    grid = GridSpec((13000.0, 13900.0), (-1.0, 1.0), 3, 3)
+    report = residual_scan(f, grid, P, mode=mode)
+    assert math.isnan(report.max_normalized) and report.worst_point == EvalPoint(13900.0, -1.0)
+    assert repr(report) == repr(_reference_scan(f, grid, P, mode))
 
 
 def test_sampled_skips_domain_errors_and_scores_range_errors_nan():

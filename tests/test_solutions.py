@@ -2,6 +2,8 @@
 
 import math
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,13 +301,23 @@ def _reference_partials(term, t, S, params):
     return c, alpha * c, carrier * fac[1], carrier * fac[2]
 
 
+def _rounded_sum(values):
+    # exactly rounded: fsum, or where an intermediate sum overflows, the exact
+    # rational sum rounded once
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return float(sum(map(Fraction, values)))
+
+
 def _reference_combo(terms, t, S, params):
     # value and partials of the sum, each column exactly rounded
-    value = math.fsum([_reference_value(term, t, S, params) for term in terms])
+    value = _rounded_sum([_reference_value(term, t, S, params) for term in terms])
     rows = [_reference_partials(term, t, S, params) for term in terms]
-    return value, tuple(map(math.fsum, zip(*rows)))
+    return value, tuple(map(_rounded_sum, zip(*rows)))
 
 
+# reprs, not ==, which equates 0.0 and -0.0
 @pytest.mark.parametrize("params", [P, P_NEG], ids=["r>0", "r<0"])
 def test_compiled_combination_is_bit_identical_to_term_by_term(params):
     rng = random.Random(8128)
@@ -318,8 +330,22 @@ def test_compiled_combination_is_bit_identical_to_term_by_term(params):
             t, S = rng.uniform(0.0, 1.0), rng.uniform(-4.0, 4.0)
             u = abs(params.r) * (S / params.sigma) ** 2
             below, above = below + (u <= 0.5), above + (u > 0.5)
-            assert (f(t, S), f.partials(t, S)) == _reference_combo(terms, t, S, params)
+            assert repr((f(t, S), f.partials(t, S))) == repr(_reference_combo(terms, t, S, params))
+        for t, S in product((0.0, -0.0), (0.0, -0.0)):
+            assert repr((f(t, S), f.partials(t, S))) == repr(_reference_combo(terms, t, S, params))
     assert below > 100 and above > 100
+
+
+@pytest.mark.parametrize("params", [P, P_NEG], ids=["r>0", "r<0"])
+def test_combination_with_one_overflowing_column_is_bit_identical(params):
+    # each C is +/-1e308, so fsum overflows on the C column alone; the value is 1e308
+    terms = (SolutionTerm(1, 0, 1e300), SolutionTerm(1, 0, 1e300), SolutionTerm(1, 0, -1e300))
+    f = ComboSolution(BaseCombo(terms), params)
+    with pytest.raises(OverflowError):
+        math.fsum([_reference_partials(term, 0.5, 1e8, params)[0] for term in terms])
+    expected = _reference_combo(terms, 0.5, 1e8, params)
+    assert expected[0] == expected[1][0] == 1e308
+    assert repr((f(0.5, 1e8), f.partials(0.5, 1e8))) == repr(expected)
 
 
 @pytest.mark.parametrize("params", [P, P_NEG], ids=["r>0", "r<0"])
