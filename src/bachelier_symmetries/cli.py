@@ -213,8 +213,8 @@ def _glue_values(argv: list[str]) -> list[str]:
         token = argv[i]
         # values routinely start with '-' (negative prices and coefficients
         # are the model's selling point); glue them to their flag so
-        # argparse cannot mistake them for option names
-        if token.startswith("--") and token[2:] in _FLAGS and i + 1 < len(argv):
+        # argparse cannot mistake them for option names; a --config path too
+        if token.startswith("--") and (token[2:] in _FLAGS or token == "--config") and i + 1 < len(argv):
             out.append(f"{token}={argv[i + 1]}")
             i += 2
         else:

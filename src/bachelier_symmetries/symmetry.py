@@ -1,4 +1,4 @@
-"""One-parameter point symmetry groups of the pricing PDE.
+"""The pricing PDE's point symmetry groups: records, transport, point maps, generators.
 
 Six vector fields span the finite-dimensional part of the equation's point
 symmetry algebra (the remaining freedom, adding an arbitrary solution, is
@@ -26,7 +26,7 @@ is the one-stage case of the pipeline composition below. The records use
 the conventional closed forms, in which the parameter of G_4 and G_5 runs
 along the flow of -xi_4 and -xi_5; FLOW_ORIENTATION records the sign per
 group so tangency checks can tie the finite maps to the hand-written vector
-fields of `generator_eval`.
+fields of `generator_eval`. Those checks, and the surface check, live in `verification`.
 
 A group element maps solution graphs to solution graphs. `chain_function`
 materialises the mapped graph as a function again. The form above is closed
@@ -50,15 +50,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import DomainError, InvalidParameter, RangeError, finite_real, integer
-from .pde_verify import sampled, worst_case
 from .solutions import (
     EXP_GUARD,
-    ComboSolution,
     ModelParams,
-    SolutionTerm,
     eval_term_partials,  # noqa: F401  not called here; bench/tracer.py binds this name
     safe_exp,
 )
@@ -72,7 +69,6 @@ __all__ = [
     "inverse_point_map",
     "chain_function",
     "generator_eval",
-    "surface_defect",
 ]
 
 # d/deps of forward_map at eps = 0 equals FLOW_ORIENTATION[i-1] * xi_i.
@@ -388,46 +384,3 @@ def generator_eval(i: int, jp: JetPoint, params: ModelParams) -> GeneratorCompon
     else:
         comps = (0.0, 0.0, C)
     return GeneratorComponents(*_finite(comps, t, S))
-
-
-def surface_defect(
-    i: int,
-    term: SolutionTerm,
-    sample: Iterable[tuple[float, float]],
-    params: ModelParams,
-) -> float:
-    """Largest normalised value of xi_i applied to the graph C = C_term(t, S).
-
-    On the solution surface the vector field acts as
-    C-component - (T-component * C_t + S-component * C_S); the graph is
-    carried to itself exactly when this vanishes identically. Values are
-    normalised by the largest participating magnitude, with no floor, so a
-    moved graph whose field components are tiny (e^{-2rt} at a large rate)
-    still reads as moved; a defect of exactly 0 stays 0. Points are drawn
-    through ``pde_verify.sampled``: one that overflows scores NaN.
-    """
-    partials = ComboSolution(term, params).partials
-
-    def defect(t: float, S: float) -> float:
-        c, c_t, c_s, _ = partials(t, S)
-        xi_t, xi_s, xi_c = generator_eval(i, JetPoint(t, S, c), params)
-        drift_t, drift_s = xi_t * c_t, xi_s * c_s
-        gap = abs(xi_c - (drift_t + drift_s))
-        return gap and gap / max(abs(xi_c), abs(drift_t), abs(drift_s))
-
-    defects = [value for _, value in sampled(defect, sample)]
-    if not defects:
-        raise InvalidParameter("surface check needs a non-empty sample")
-    return worst_case(defects)
-
-
-# no package caller; bench/tracer.py binds this name
-def fixed_surface_check(
-    i: int,
-    term: SolutionTerm,
-    sample: Iterable[tuple[float, float]],
-    params: ModelParams,
-    tol: float = 1e-9,
-) -> bool:
-    """True when ``surface_defect`` on the sample is below ``tol``: fixed up to the sample."""
-    return surface_defect(i, term, sample, params) < tol

@@ -342,6 +342,14 @@ class TestConfig:
         code, _, err = run(capsys, "eval", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2 and "cannot read" in err
 
+    def test_config_path_may_start_with_a_dash(self, capsys, tmp_path, monkeypatch):
+        # a relative path, so argparse would read "-cfg.txt" as an option name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-cfg.txt").write_text("r=0.05\n")
+        code, out, err = run(capsys, "eval", "--config", "-cfg.txt", "--expr", "C1[0]",
+                             "--t", "0", "--S", "1")
+        assert (code, out, err) == (0, "1\n", "")
+
     def test_config_rate_replaces_standard_sets_in_verify(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("r=0.07\n")

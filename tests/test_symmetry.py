@@ -20,17 +20,19 @@ from bachelier_symmetries.symmetry import (
     GroupElement,
     JetPoint,
     chain_function,
-    fixed_surface_check,
     forward_map,
     generator_eval,
     inverse_point_map,
     pullback,
     pullback_chain,
-    surface_defect,
     transformed,
 )
 from bachelier_symmetries.reference_forms import g4_family_from_linear
-from bachelier_symmetries.verification import TOL_CLOSURE_RESIDUAL
+from bachelier_symmetries.verification import (
+    TOL_CLOSURE_RESIDUAL,
+    fixed_surface_check,
+    surface_defect,
+)
 from fd_oracle import derivative_richardson
 
 P = ModelParams(r=0.05, sigma=0.2)
