@@ -15,16 +15,16 @@ outside the float range (an exponent past the guard, a squared price or a
 result that overflows). Standard output carries only data; diagnostics go
 to standard error.
 
-A --config file holds flat key=value lines ('#' starts a comment) whose
-keys are the long flags. Config values fill in flags that were not given
-on the command line; explicit flags always win. A flag's value may start
-with '-'.
+Flags are exact long names: --key VALUE or --key=VALUE, whatever the value
+starts with. -h or --help prints the subcommands, or after a subcommand its
+flags. A --config file holds flat key=value lines ('#' starts a comment)
+whose keys are the long flags. Config values fill in flags that were not
+given on the command line; explicit flags always win. One rule converts a
+flag's value and a config value alike: its type in _FLAGS.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
 
 from .errors import DomainError, InvalidParameter, ParseError, RangeError, SemanticError, finite_real
@@ -77,45 +77,67 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-@functools.cache  # parsing never mutates the parser, so one serves every call
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bachsym",
-        description="Evaluate, tabulate, verify and transform closed-form "
-                    "solutions of the Bachelier pricing PDE.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, requires, others) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key=value config file")
-        for key in requires + others:
-            kind, flag_help = _FLAGS[key]
-            p.add_argument(f"--{key}", type=kind, help=flag_help)
-        if name == "transform":
-            p.add_argument("group", help="group element to append, e.g. 'G6(0.2)'")
-    return parser
+def _help(command: str | None) -> str:
+    """The subcommands, or one subcommand's flags with the required ones marked."""
+    if command is None:
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    else:
+        _, _, requires, others = _COMMANDS[command]
+        rows = [(f"--{key} VALUE", _FLAGS[key][1] + " (required)" * (key in requires))
+                for key in requires + others] + [("--config PATH", "key=value config file")]
+        rows += [("GROUP", "group element to append, e.g. 'G6(0.2)'")] * (command == "transform")
+    group = " GROUP" * (command == "transform")
+    return (f"usage: bachsym {command or 'SUBCOMMAND'} [--key VALUE ...]{group}\n\n"
+            + "".join(f"  {a:<16} {b}\n" for a, b in rows))
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill flags given nowhere (None) from the config file, then check the required ones."""
-    _, _, requires, others = _COMMANDS[args.command]
-    if args.config is not None:
-        for key, text in load_config(args.config).items():
-            dest = key.replace("-", "_")
-            if key not in requires + others or getattr(args, dest) is not None:
-                continue
-            kind = _FLAGS[key][0]
-            try:
-                setattr(args, dest, kind(text))
-            except ValueError:
-                raise InvalidParameter(f"config key {key}: invalid {kind.__name__} value {text!r}") from None
+def _read(argv: list[str]):
+    """(subcommand, values) from argv and its --config file; values is None for help.
+
+    A flag's text is its last on the command line, else its config line's,
+    and is converted once, by its _FLAGS type; a flag given nowhere is None.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in _COMMANDS:
+        raise InvalidParameter(f"expected a subcommand ({', '.join(_COMMANDS)}), got {argv[:1]}")
+    _, _, requires, others = _COMMANDS[command]
+    takes = requires + others
+    texts, positional, tokens = {}, [], iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        if not token.startswith("--"):
+            positional.append(token)
+            continue
+        key, glued, text = token[2:].partition("=")
+        if key not in takes + ("config",):
+            raise InvalidParameter(f"{command} takes no flag --{key}")
+        if not glued and (text := next(tokens, None)) is None:
+            raise InvalidParameter(f"--{key} expects a value")
+        texts[key] = (f"--{key}", text)
+    if len(positional) != (command == "transform"):
+        wanted = "one group element" if command == "transform" else "no positional argument"
+        raise InvalidParameter(f"{command} takes {wanted}, got {positional}")
+    config = load_config(texts.pop("config")[1]) if "config" in texts else {}
+    texts = {key: (f"config key {key}", text) for key, text in config.items() if key in takes} | texts
+    values = dict(dict.fromkeys(takes), group=positional[0] if positional else None)
+    for key, (label, text) in texts.items():
+        kind = _FLAGS[key][0]
+        try:
+            values[key] = kind(text)
+        except ValueError:
+            raise InvalidParameter(f"{label}: invalid {kind.__name__} value {text!r}") from None
     for key in requires:
-        if getattr(args, key.replace("-", "_")) is None:
+        if values[key] is None:
             raise InvalidParameter(f"missing required value --{key}")
+    return command, values
 
 
-def _params(args) -> ModelParams:
-    return ModelParams(DEFAULT_PARAMS.r if args.r is None else args.r,
-                       DEFAULT_PARAMS.sigma if args.sigma is None else args.sigma)
+def _params(values) -> ModelParams:
+    return ModelParams(DEFAULT_PARAMS.r if values["r"] is None else values["r"],
+                       DEFAULT_PARAMS.sigma if values["sigma"] is None else values["sigma"])
 
 
 def _emit(out_path, text: str):
@@ -140,19 +162,19 @@ def _parse_axis(label: str, text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _cmd_eval(args) -> int:
-    expr = parse_expr(args.expr)
-    value = expression_function(expr, _params(args))(args.t, args.S)
-    _emit(args.out, f"{value:.17g}\n")
+def _cmd_eval(values) -> int:
+    expr = parse_expr(values["expr"])
+    value = expression_function(expr, _params(values))(values["t"], values["S"])
+    _emit(values["out"], f"{value:.17g}\n")
     return 0
 
 
-def _cmd_table(args) -> int:
-    expr = parse_expr(args.expr)
-    t_lo, t_hi, nt = _parse_axis("t-range", args.t_range)
-    s_lo, s_hi, ns = _parse_axis("S-range", args.S_range)
+def _cmd_table(values) -> int:
+    expr = parse_expr(values["expr"])
+    t_lo, t_hi, nt = _parse_axis("t-range", values["t-range"])
+    s_lo, s_hi, ns = _parse_axis("S-range", values["S-range"])
     grid = GridSpec(t_range=(t_lo, t_hi), S_range=(s_lo, s_hi), nt=nt, nS=ns)
-    f = expression_function(expr, _params(args))
+    f = expression_function(expr, _params(values))
     lines = ["t,S,C"]
     skipped = 0
     # a row's t and a column's S are formatted once; each cell adds its value
@@ -166,13 +188,13 @@ def _cmd_table(args) -> int:
                 lines.append(t_text + s_text)
                 skipped += 1
     lines.append(f"# skipped={skipped}")
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(values["out"], "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_verify(args) -> int:
-    scope = args.scope if args.scope is not None else "all"
-    params = _params(args) if args.r is not None or args.sigma is not None else None
+def _cmd_verify(values) -> int:
+    scope = values["scope"] if values["scope"] is not None else "all"
+    params = _params(values) if values["r"] is not None or values["sigma"] is not None else None
     results = run_scope(scope, params)
     width = max(len(res.name) for res in results)
     lines = []
@@ -184,14 +206,14 @@ def _cmd_verify(args) -> int:
         lines.append(line)
     passed = sum(res.passed for res in results)
     lines.append(f"# {passed}/{len(results)} checks passed")
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(values["out"], "\n".join(lines) + "\n")
     return 0 if passed == len(results) else 1
 
 
-def _cmd_transform(args) -> int:
-    expr = parse_expr(args.expr)
-    element = parse_group_element(args.group)
-    _emit(args.out, format_expr(SolutionExpr(expr.combo, expr.pipeline + (element,))) + "\n")
+def _cmd_transform(values) -> int:
+    expr = parse_expr(values["expr"])
+    element = parse_group_element(values["group"])
+    _emit(values["out"], format_expr(SolutionExpr(expr.combo, expr.pipeline + (element,))) + "\n")
     return 0
 
 
@@ -206,34 +228,13 @@ _COMMANDS = {
 }
 
 
-def _glue_values(argv: list[str]) -> list[str]:
-    out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        # values routinely start with '-' (negative prices and coefficients
-        # are the model's selling point); glue them to their flag so
-        # argparse cannot mistake them for option names; a --config path too
-        if token.startswith("--") and (token[2:] in _FLAGS or token == "--config") and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(token)
-            i += 1
-    return out
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_glue_values(list(argv)))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _merge_config(args)
-        return _COMMANDS[args.command][0](args)
+        command, values = _read(sys.argv[1:] if argv is None else list(argv))
+        if values is None:
+            sys.stdout.write(_help(command))
+            return 0
+        return _COMMANDS[command][0](values)
     except (ParseError, SemanticError, InvalidParameter) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

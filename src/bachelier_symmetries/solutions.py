@@ -174,12 +174,13 @@ class ComboSolution:
     a Gaussian class, else 0.0; the constants 2 r, sigma^2 and 2 r / sigma^2
     are computed once per instance. A point then costs one e^{alpha t - g}
     per term and four exactly rounded sums. The columns are a dict keyed by
-    the price and cleared when it holds _COLUMNS of them. A zero price also
-    matches its sign, which S f0 and du carry. Errors are never cached: a
-    price whose square overflows raises before anything is stored. A column
-    is built whole before it is stored, so threads may share an instance;
-    the size check and the store are two steps, so threads that store at
-    once may pass the bound by one column each before the next clear.
+    the price and cleared when it holds _COLUMNS of them; 0.0 and -0.0 share
+    one, since their columns differ only in signs of zeros, which every sum
+    drops. Errors are never cached: a price whose square overflows raises
+    before anything is stored. A column is built whole before it is stored,
+    so threads may share an instance; the size check and the store are two
+    steps, so threads that store at once may pass the bound by one column
+    each before the next clear.
     """
 
     __slots__ = ("combo", "params", "_kernels", "_columns", "_scales")
@@ -223,11 +224,6 @@ class ComboSolution:
         return value
 
     def _column(self, S: float):
-        columns = self._columns
-        entry = columns.get(S)
-        # equal floats have equal bits but for 0.0 == -0.0: a zero also matches its sign
-        if entry is not None and (S or math.copysign(1.0, S) == math.copysign(1.0, entry[0])):
-            return entry[1]
         two_r, var, d2u = self._scales
         u = _argument(S, self.params)
         du = two_r * S / var
@@ -243,9 +239,9 @@ class ComboSolution:
                 f1, f2 = g1 * f0 + f1, g2 * f0 + 2.0 * g1 * f1 + f2
             column.append((coeff, alpha, u if with_gauss else 0.0, f0, f1, f2))
         column = tuple(column)
-        if len(columns) >= _COLUMNS:
-            columns.clear()
-        columns[S] = (S, column)
+        if len(self._columns) >= _COLUMNS:
+            self._columns.clear()
+        self._columns[S] = column
         return column
 
     def partials(self, t: float, S: float) -> tuple[float, float, float, float]:
@@ -259,13 +255,12 @@ class ComboSolution:
         Gaussian share one exponential, e^{alpha t - g}, as in the value path.
         Each output is one exactly rounded sum over a list of its terms.
         """
-        entry = self._columns.get(S)  # a zero price goes to _column, which matches its sign
         exp = math.exp
         values = []
         slopes = []
         firsts = []
         seconds = []
-        for coeff, alpha, g, f0, f1, f2 in entry[1] if entry is not None and S else self._column(S):
+        for coeff, alpha, g, f0, f1, f2 in self._columns.get(S) or self._column(S):
             exponent = alpha * t - g
             if not -EXP_GUARD <= exponent <= EXP_GUARD:  # safe_exp raises; a NaN passes it
                 safe_exp(exponent)

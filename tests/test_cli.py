@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bachelier_symmetries.cli import _COMMANDS, _FLAGS, _build_parser, main
+from bachelier_symmetries.cli import _COMMANDS, _FLAGS, main
 from bachelier_symmetries.reference_forms import g4_family_from_linear
 from bachelier_symmetries.solutions import ModelParams
 
@@ -125,7 +125,7 @@ class TestEval:
         point = {"--t": "0", "--S": "1", flag: value}
         code, out, err = run(capsys, "eval", "--expr", "C1[0]", *sum(point.items(), ()))
         assert code == 2 and out == ""
-        assert f"argument {flag}: invalid real value: '{value}'" in err
+        assert err == f"error: {flag}: invalid real value '{value}'\n"
 
     def test_order_past_the_degree_envelope_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "--expr", "C1[-2000000000]", "--t", "0", "--S", "1")
@@ -343,7 +343,7 @@ class TestConfig:
         assert code == 2 and "cannot read" in err
 
     def test_config_path_may_start_with_a_dash(self, capsys, tmp_path, monkeypatch):
-        # a relative path, so argparse would read "-cfg.txt" as an option name
+        # a relative path: a value that starts with '-' is still the flag's value
         monkeypatch.chdir(tmp_path)
         (tmp_path / "-cfg.txt").write_text("r=0.05\n")
         code, out, err = run(capsys, "eval", "--config", "-cfg.txt", "--expr", "C1[0]",
@@ -380,6 +380,14 @@ class TestConfig:
                            "--expr", "C1[0]", "--t", "0", "--S", "1")
         assert code == 2 and re.search(r"\br\b", err) and "'abc'" in err
 
+    def test_flag_overrides_a_bad_config_value(self, capsys, tmp_path):
+        # a config line for a key given on the command line is never converted
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r=abc\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg), "--r", "0.05",
+                             "--expr", "C2[0]", "--t", "1", "--S", "0")
+        assert (code, err) == (0, "") and float(out) == math.exp(0.05)
+
     def test_non_finite_number_names_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("expr=C1[0]\nt=0\nS=nan\n")
@@ -395,6 +403,31 @@ class TestConfig:
         assert all(scope in err for scope in ("theorem1", "theorem2", "groups", "examples", "all"))
 
 
+class TestArguments:
+    def test_glued_values_and_the_last_of_a_repeated_flag(self, capsys):
+        code, out, err = run(capsys, "eval", "--expr=-2*C1[0]", "--t=0", "--S", "7", "--S=-1.5")
+        assert (code, out, err) == (0, "3\n", "")
+
+    @pytest.mark.parametrize("argv, named", [
+        # flags are exact names: no prefix abbreviations
+        (("eval", "--expr", "C1[0]", "--t", "0", "--S", "1", "--sig", "0.3"), "--sig"),
+        (("eval", "--expr", "C1[0]", "--t", "0", "--S"), "--S expects a value"),
+        (("eval", "--expr", "C1[0]", "--t", "0", "--S", "1", "stray"), "'stray'"),
+        (("transform", "--expr", "C1[0]"), "one group element"),
+        ((), "eval, table, verify, transform"),
+        (("evaluate", "--expr", "C1[0]"), "'evaluate'"),
+    ], ids=["abbreviation", "no-value", "stray-positional", "no-group", "no-subcommand",
+            "unknown-subcommand"])
+    def test_usage_errors(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and named in err
+
+    def test_top_level_help_lists_the_subcommands(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and err == ""
+        assert all(f"  {command} " in out for command in _COMMANDS)
+
+
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_help_lists_the_table_flags(capsys, command):
     code, out, _ = run(capsys, command, "--help")
@@ -406,7 +439,6 @@ def test_help_lists_the_table_flags(capsys, command):
 
 
 def test_one_parser_serves_separate_calls(capsys):
-    assert _build_parser() is _build_parser()
     # C2[0] = e^{rt}: a flag given to one call must not carry over to the next
     _, with_rate, _ = run(capsys, "eval", "--expr", "C2[0]", "--r", "0.07", "--t", "1", "--S", "0")
     code, table, _ = run(capsys, "table", "--expr", "C2[0]",
