@@ -57,7 +57,7 @@ _FLAGS = {
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Read a flat key=value config file; '#' comments and blank lines skipped."""
+    """Read a flat key=value config file in UTF-8; '#' comments and blank lines skipped."""
     values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -72,7 +72,7 @@ def load_config(path: str) -> dict[str, str]:
                 if key not in _FLAGS:
                     raise InvalidParameter(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value.strip()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InvalidParameter(f"cannot read config file {path}: {err}") from err
     return values
 

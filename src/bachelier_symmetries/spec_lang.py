@@ -3,13 +3,15 @@
 An expression is a weighted sum of base family members, optionally pushed
 through a pipeline of symmetry group elements:
 
-    expr   := combo ( '|' group )*
-    combo  := term ( ('+' | '-') term )*
-    term   := [ number '*' ] 'C' digit '[' integer ']'
-    group  := 'G' digit '(' number ')'
+    expr    := combo ( '|' group )*
+    combo   := term ( ('+' | '-') term )*
+    term    := [ number '*' ] 'C' digit '[' integer ']'
+    group   := 'G' digit '(' number ')'
+    integer := [+-] digits
+    number  := [+-] (digits ['.' digits*] | '.' digits) [('e'|'E') [+-] digits]
 
-Whitespace between tokens is ignored. Numbers are plain decimals with an
-optional sign and exponent ("2", "-0.5", "1e-3"). A '-' joining two terms
+A digit is an ASCII 0-9 and digits a run of one or more. Whitespace
+between tokens is ignored, but not inside a numeral. A '-' joining two terms
 negates the right-hand coefficient; a term without an explicit number has
 coefficient 1. The grammar needs a single token of lookahead everywhere,
 and the parser below is a direct recursive descent over it.
@@ -28,7 +30,6 @@ priced under many parameter sets, so they travel separately.
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
 
 from .errors import ParseError, SemanticError
@@ -47,8 +48,6 @@ __all__ = [
 # the grammar's digits are ASCII: str.isdigit and a unicode \d also take
 # characters such as '²' or '٣', which int() rejects or reads as another digit
 _DIGITS = "0123456789"
-_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
-_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 class SolutionExpr(namedtuple("SolutionExpr", "combo pipeline")):
@@ -65,94 +64,96 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
+        """The next character after whitespace, which is skipped; None at the end."""
+        try:
+            while (ch := self.text[self.pos]).isspace():
+                self.pos += 1
+            return ch
+        except IndexError:
+            return None
 
-    def byte_offset(self, pos: int | None = None) -> int:
-        if pos is None:
-            pos = self.pos
+    def byte_offset(self, pos: int) -> int:
         return len(self.text[:pos].encode("utf-8"))
 
     def fail(self, *expected: str):
         found = repr(self.text[self.pos]) if self.pos < len(self.text) else "end of input"
-        raise ParseError(self.byte_offset(), expected, found)
+        raise ParseError(self.byte_offset(self.pos), expected, found)
 
     def expect(self, ch: str):
-        self.skip_ws()
         if self.peek() != ch:
             self.fail(f"'{ch}'")
         self.pos += 1
 
+    def _digits_end(self, pos: int) -> int:
+        # lstrip finds the run's end in C; chunks of 32 keep a long text linear
+        while True:
+            chunk = self.text[pos:pos + 32]
+            pos += (run := len(chunk) - len(chunk.lstrip(_DIGITS)))
+            if run < 32:
+                return pos
+
+    def numeral(self, number: bool) -> int:
+        """Read an integer, or with ``number`` a number, and return its start."""
+        self.peek()
+        text, start = self.text, self.pos
+        pos = start + text.startswith(("+", "-"), start)
+        end = self._digits_end(pos)
+        if number and text.startswith(".", end):
+            fraction = self._digits_end(end + 1)
+            if end > pos or fraction > end + 1:
+                end = fraction
+        if end == pos:
+            self.fail("number" if number else "integer")
+        if number and text.startswith(("e", "E"), end):
+            digits = end + 1 + text.startswith(("+", "-"), end + 1)
+            if (exponent := self._digits_end(digits)) > digits:
+                end = exponent
+        self.pos = end
+        return start
+
     def take_number(self) -> float:
-        self.skip_ws()
-        match = _NUMBER.match(self.text, self.pos)
-        if match is None:
-            self.fail("number")
-        start = self.pos
-        self.pos = match.end()
-        value = float(match.group())
+        start = self.numeral(number=True)
+        value = float(self.text[start:self.pos])
         if not math.isfinite(value):
-            raise SemanticError(self.byte_offset(start), f"number {match.group()} overflows")
+            raise SemanticError(self.byte_offset(start), f"number {self.text[start:self.pos]} overflows")
         return value
 
-    def take_integer(self) -> tuple[int, int]:
-        self.skip_ws()
-        match = _INTEGER.match(self.text, self.pos)
-        if match is None:
-            self.fail("integer")
-        start = self.pos
-        self.pos = match.end()
-        return int(match.group()), self.byte_offset(start)
-
-    def take_digit(self, label: str) -> tuple[int, int]:
-        self.skip_ws()
+    def take_index(self, kind: str, top: int) -> int:
         ch = self.peek()
         if ch is None or ch not in _DIGITS:
-            self.fail(label)
-        offset = self.byte_offset()
+            self.fail(f"{kind} digit")
+        if not 1 <= int(ch) <= top:
+            raise SemanticError(self.byte_offset(self.pos), f"{kind} index must be 1..{top}, got {ch}")
         self.pos += 1
-        return int(ch), offset
+        return int(ch)
 
 
 def _parse_term(sc: _Scanner, negate: bool) -> SolutionTerm:
-    sc.skip_ws()
-    coeff = 1.0
-    explicit_coeff = False
-    ch = sc.peek()
-    if ch is not None and ch in _DIGITS + "+-.":
-        coeff = sc.take_number()
+    coeff, expected = 1.0, ("number", "'C'")
+    if (ch := sc.peek()) is not None and ch in _DIGITS + "+-.":
+        coeff, expected = sc.take_number(), ("'C'",)
         sc.expect("*")
-        explicit_coeff = True
-        sc.skip_ws()
-        ch = sc.peek()
-    if ch != "C":
-        if explicit_coeff:
-            sc.fail("'C'")
-        sc.fail("number", "'C'")
+    if sc.peek() != "C":
+        sc.fail(*expected)
     sc.pos += 1
-    class_q, q_offset = sc.take_digit("class digit")
-    if class_q not in (1, 2, 3, 4):
-        raise SemanticError(q_offset, f"class index must be 1..4, got {class_q}")
+    class_q = sc.take_index("class", 4)
     sc.expect("[")
-    order, n_offset = sc.take_integer()
+    start = sc.numeral(number=False)
+    numeral = sc.text[start:sc.pos]
+    sign, magnitude = "-" if numeral[0] == "-" else "", numeral.lstrip("+-0") or "0"
+    # int() refuses very long texts, and an order that long is out of range
+    order = int(sign + magnitude) if len(magnitude) < 20 else 1
     if not -2 * MAX_DEGREE <= order <= 0 or order % 2:
-        raise SemanticError(n_offset, f"order must be even in [{-2 * MAX_DEGREE}, 0], got {order}")
+        raise SemanticError(sc.byte_offset(start),
+                            f"order must be even in [{-2 * MAX_DEGREE}, 0], got {sign}{magnitude}")
     sc.expect("]")
     return SolutionTerm(class_q, order, -coeff if negate else coeff)
 
 
 def _parse_group(sc: _Scanner) -> GroupElement:
-    sc.skip_ws()
-    if sc.peek() != "G":
-        sc.fail("'G'")
-    sc.pos += 1
-    index, g_offset = sc.take_digit("group digit")
-    if index not in (1, 2, 3, 4, 5, 6):
-        raise SemanticError(g_offset, f"group index must be 1..6, got {index}")
+    sc.expect("G")
+    index = sc.take_index("group", 6)
     sc.expect("(")
     epsilon = sc.take_number()
     sc.expect(")")
@@ -168,25 +169,17 @@ def parse_expr(text: str) -> SolutionExpr:
     """
     sc = _Scanner(text)
     terms = [_parse_term(sc, negate=False)]
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch in ("+", "-"):
-            sc.pos += 1
-            terms.append(_parse_term(sc, negate=ch == "-"))
-            continue
-        if ch is None or ch == "|":
-            break
+    while (ch := sc.peek()) in ("+", "-"):
+        sc.pos += 1
+        terms.append(_parse_term(sc, negate=ch == "-"))
+    if ch not in (None, "|"):
         sc.fail("'+'", "'-'", "'|'", "end of input")
     pipeline = []
-    while True:
-        sc.skip_ws()
-        if sc.peek() is None:
-            break
-        if sc.peek() != "|":
-            sc.fail("'|'", "end of input")
+    while (ch := sc.peek()) == "|":
         sc.pos += 1
         pipeline.append(_parse_group(sc))
+    if ch is not None:
+        sc.fail("'|'", "end of input")
     return SolutionExpr(BaseCombo(tuple(terms)), tuple(pipeline))
 
 
@@ -194,7 +187,6 @@ def parse_group_element(text: str) -> GroupElement:
     """Parse a single "Gi(eps)" token (used by the transform command)."""
     sc = _Scanner(text)
     group = _parse_group(sc)
-    sc.skip_ws()
     if sc.peek() is not None:
         sc.fail("end of input")
     return group

@@ -132,6 +132,12 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error: offset 3: order must be even in [-100, 0]")
 
+    def test_very_long_order_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--expr", "C1[" + "2" * 5000 + "]", "--t", "0", "--S", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: offset 3: order must be even in [-100, 0]")
+        assert err.count("\n") == 1
+
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "nodir" / "x.txt"
         code, out, err = run(capsys, "eval", "--expr", "C1[0]", "--t", "0", "--S", "1",
@@ -341,6 +347,13 @@ class TestConfig:
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2 and "cannot read" in err
+
+    def test_undecodable_file_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"r=0.1\n\xff\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg), "--expr", "C1[0]", "--t", "0", "--S", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
 
     def test_config_path_may_start_with_a_dash(self, capsys, tmp_path, monkeypatch):
         # a relative path: a value that starts with '-' is still the flag's value

@@ -35,12 +35,13 @@ def test_module_surfaces_leave_out_the_aliases():
         assert set(module.__all__).isdisjoint(ALIASES + ("fixed_surface_check",))
 
 
-def test_cold_import_loads_no_argparse_dataclasses_typing_or_inspect():
+def test_cold_import_loads_no_re_enum_argparse_dataclasses_typing_or_inspect():
     # the value types are named tuples, the annotations come from
-    # collections.abc and the command line reads its own flags; the same
-    # one-liner is a step of the python -S CI job
+    # collections.abc, the command line reads its own flags and the
+    # expression language its own numerals; the same one-liner is a step of
+    # the python -S CI job
     guard = ("import bachelier_symmetries.cli, sys; "
-             "loaded = {'argparse', 'dataclasses', 'typing', 'inspect'} & set(sys.modules); "
+             "loaded = {'re', 'enum', 'argparse', 'dataclasses', 'typing', 'inspect'} & set(sys.modules); "
              "sys.exit(f'loaded at import: {sorted(loaded)}' if loaded else 0)")
     proc = subprocess.run([sys.executable, "-S", "-c", guard], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)

@@ -1,5 +1,8 @@
 """Expression language: parsing, formatting, round trips, error locations."""
 
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from bachelier_symmetries.errors import ParseError, SemanticError
 from bachelier_symmetries.solutions import BaseCombo, ComboSolution, ModelParams, SolutionTerm
 from bachelier_symmetries.spec_lang import (
     SolutionExpr,
+    _Scanner,
     expression_function,
     format_expr,
     parse_expr,
@@ -83,10 +87,20 @@ class TestErrors:
             parse_expr("C1[7]")
         assert info.value.offset == 3
 
-    def test_order_past_the_kummer_bound_points_at_order(self):
+    @pytest.mark.parametrize(
+        "text",
+        ["C1[-102]", "C1[" + "2" * 5000 + "]", "C1[-" + "2" * 5000 + "]", "C1[+" + "0" * 5000 + "2]"],
+        ids=["past-bound", "long", "long-negative", "long-leading-zeros"],
+    )
+    def test_order_past_the_kummer_bound_points_at_order(self, text):
+        # int() refuses texts of more than 4300 digits; the reader does not
         with pytest.raises(SemanticError) as info:
-            parse_expr("C1[-102]")
+            parse_expr(text)
         assert info.value.offset == 3
+
+    def test_leading_zeros_do_not_bound_an_order(self):
+        expr = parse_expr("C1[-" + "0" * 4300 + "2] + C2[" + "0" * 5000 + "]")
+        assert [term.order_n for term in expr.combo.terms] == [-2, 0]
 
     def test_offsets_are_byte_offsets(self):
         with pytest.raises(ParseError) as info:
@@ -101,6 +115,27 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_expr(text)
         assert info.value.offset == len(prefix.encode("utf-8"))
+
+
+# the numeral rules as the regular expressions the scanner once used: the
+# reader that replaced them must consume exactly what they match
+_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
+_NUMERAL_TEXTS = ["".join(chars) for n in range(5) for chars in itertools.product("01.eE+-x²", repeat=n)]
+# runs around the reader's 32-character chunks
+_NUMERAL_TEXTS += ["1" * k + tail for k in (31, 32, 33, 64, 65) for tail in ("", "x", ".5e+7x", "e" + "3" * k)]
+
+
+@pytest.mark.parametrize("pattern, label", [(_NUMBER, "number"), (_INTEGER, "integer")], ids=["number", "integer"])
+def test_numeral_reader_against_the_patterns(pattern, label):
+    for text in _NUMERAL_TEXTS:
+        match, sc = pattern.match(text), _Scanner(text)
+        try:
+            start = sc.numeral(number=label == "number")
+        except ParseError as err:
+            assert match is None and (err.offset, err.expected) == (0, (label,)), text
+        else:
+            assert match is not None and (start, sc.pos) == (0, match.end()), text
 
 
 class TestFormatting:
