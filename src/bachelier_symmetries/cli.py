@@ -41,6 +41,12 @@ def real(text: str) -> float:
     return finite_real("value", float(text))
 
 
+def axis(text: str) -> tuple[float, float, int]:
+    """A grid axis flag value LO:HI:N; GridSpec checks the range and the count."""
+    lo, hi, count = text.split(":")
+    return float(lo), float(hi), int(count)
+
+
 # Every long flag, once: its value type and help text. A config file takes
 # the same keys, converted with the same types.
 _FLAGS = {
@@ -49,8 +55,8 @@ _FLAGS = {
     "t": (real, "evaluation time"),
     "S": (real, "evaluation price"),
     "expr": (str, "expression text, e.g. '2*C1[0] | G4(0.5)'"),
-    "t-range": (str, "time grid LO:HI:N"),
-    "S-range": (str, "price grid LO:HI:N"),
+    "t-range": (axis, "time grid LO:HI:N"),
+    "S-range": (axis, "price grid LO:HI:N"),
     "out": (str, "write output to this path instead of stdout"),
     "scope": (str, f"which suite to run: {', '.join(SCOPES)} (default: all)"),
 }
@@ -151,17 +157,6 @@ def _emit(out_path, text: str):
             raise InvalidParameter(f"cannot write {out_path}: {err}") from err
 
 
-def _parse_axis(label: str, text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise InvalidParameter(f"--{label} must be LO:HI:N, got {text!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise InvalidParameter(f"--{label} must be LO:HI:N with numeric fields, got {text!r}")
-    return lo, hi, count
-
-
 def _cmd_eval(values) -> int:
     expr = parse_expr(values["expr"])
     value = expression_function(expr, _params(values))(values["t"], values["S"])
@@ -171,8 +166,7 @@ def _cmd_eval(values) -> int:
 
 def _cmd_table(values) -> int:
     expr = parse_expr(values["expr"])
-    t_lo, t_hi, nt = _parse_axis("t-range", values["t-range"])
-    s_lo, s_hi, ns = _parse_axis("S-range", values["S-range"])
+    (t_lo, t_hi, nt), (s_lo, s_hi, ns) = values["t-range"], values["S-range"]
     grid = GridSpec(t_range=(t_lo, t_hi), S_range=(s_lo, s_hi), nt=nt, nS=ns)
     f = expression_function(expr, _params(values))
     lines = ["t,S,C"]

@@ -262,7 +262,7 @@ class ComboSolution:
         seconds = []
         for coeff, alpha, g, f0, f1, f2 in self._columns.get(S) or self._column(S):
             exponent = alpha * t - g
-            if not -EXP_GUARD <= exponent <= EXP_GUARD:  # safe_exp raises; a NaN passes it
+            if abs(exponent) > EXP_GUARD:  # safe_exp raises; a NaN passes it
                 safe_exp(exponent)
             carrier = coeff * exp(exponent)
             c = carrier * f0

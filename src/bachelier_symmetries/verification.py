@@ -291,7 +291,7 @@ def fixed_surface_check(
     term: SolutionTerm,
     sample: Iterable[tuple[float, float]],
     params: ModelParams,
-    tol: float = 1e-9,
+    tol: float = TOL_SURFACE,
 ) -> bool:
     """True when ``surface_defect`` on the sample is below ``tol``: fixed up to the sample."""
     return surface_defect(i, term, sample, params) < tol
@@ -432,41 +432,7 @@ def dsl_roundtrip() -> list[CheckResult]:
     return results
 
 
-# Each scope runner takes the parameter sets of the run: theorem1 checks
-# every set, the other suites the first.
-
-def _theorem1(param_sets: tuple[ModelParams, ...]) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    for p in param_sets:
-        out.extend(base_family_residuals(p))
-        out.append(superposition_residual(p))
-    return out
-
-
-def _theorem2(param_sets: tuple[ModelParams, ...]) -> list[CheckResult]:
-    return transform_closure(param_sets[0])
-
-
-def _groups(param_sets: tuple[ModelParams, ...]) -> list[CheckResult]:
-    return group_laws(param_sets[0]) + generator_tangency(param_sets[0])
-
-
-def _examples(param_sets: tuple[ModelParams, ...]) -> list[CheckResult]:
-    return reference_reproductions(param_sets[0]) + invariance_flags(param_sets[0])
-
-
-def _all(param_sets: tuple[ModelParams, ...]) -> list[CheckResult]:
-    return (_theorem1(param_sets) + _theorem2(param_sets) + _groups(param_sets)
-            + _examples(param_sets) + kummer_identities() + dsl_roundtrip())
-
-
-SCOPES = {
-    "theorem1": _theorem1,
-    "theorem2": _theorem2,
-    "groups": _groups,
-    "examples": _examples,
-    "all": _all,
-}
+SCOPES = ("theorem1", "theorem2", "groups", "examples", "all")
 
 
 def run_scope(scope: str, params: ModelParams | None = None) -> list[CheckResult]:
@@ -474,11 +440,24 @@ def run_scope(scope: str, params: ModelParams | None = None) -> list[CheckResult
 
     params=None uses the standard parameter sets: theorem1 runs at
     DEFAULT_PARAMS and NEGATIVE_RATE_PARAMS, every other suite at
-    DEFAULT_PARAMS.
+    DEFAULT_PARAMS. The suites are looked up when called, so a rebound
+    module attribute is the one that runs.
     """
-    try:
-        runner = SCOPES[scope]
-    except KeyError:
-        raise InvalidParameter(
-            f"unknown scope {scope!r}; choose from {', '.join(sorted(SCOPES))}") from None
-    return runner((params,) if params is not None else (DEFAULT_PARAMS, NEGATIVE_RATE_PARAMS))
+    if scope not in SCOPES:
+        raise InvalidParameter(f"unknown scope {scope!r}; choose from {', '.join(sorted(SCOPES))}")
+    param_sets = (params,) if params is not None else (DEFAULT_PARAMS, NEGATIVE_RATE_PARAMS)
+    first = param_sets[0]
+    out: list[CheckResult] = []
+    if scope in ("theorem1", "all"):
+        for p in param_sets:
+            out += base_family_residuals(p)
+            out.append(superposition_residual(p))
+    if scope in ("theorem2", "all"):
+        out += transform_closure(first)
+    if scope in ("groups", "all"):
+        out += group_laws(first) + generator_tangency(first)
+    if scope in ("examples", "all"):
+        out += reference_reproductions(first) + invariance_flags(first)
+    if scope == "all":
+        out += kummer_identities() + dsl_roundtrip()
+    return out

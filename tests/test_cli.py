@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from bachelier_symmetries.cli import _COMMANDS, _FLAGS, main
+from bachelier_symmetries.errors import InvalidParameter
 from bachelier_symmetries.reference_forms import g4_family_from_linear
 from bachelier_symmetries.solutions import ModelParams
+from bachelier_symmetries.verification import run_scope
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -216,12 +218,12 @@ class TestTable:
     def test_bad_range_spec(self, capsys):
         code, _, err = run(capsys, "table", "--expr", "C1[0]",
                            "--t-range", "0:1", "--S-range", "-1:1:2")
-        assert code == 2 and "LO:HI:N" in err
+        assert (code, err) == (2, "error: --t-range: invalid axis value '0:1'\n")
 
     def test_non_numeric_range_field(self, capsys):
         code, _, err = run(capsys, "table", "--expr", "C1[0]",
                            "--t-range", "0:x:2", "--S-range", "-1:1:2")
-        assert code == 2 and "numeric fields" in err
+        assert (code, err) == (2, "error: --t-range: invalid axis value '0:x:2'\n")
 
     @pytest.mark.parametrize("axes", [("-1e308:1e308:3", "0:1:2"), ("0:1:2", "-1e308:1e308:3")])
     def test_overflowing_grid_width_is_usage_error(self, capsys, axes):
@@ -252,6 +254,9 @@ class TestVerify:
     def test_unknown_scope_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "--scope", "everything")
         assert code == 2
+        for scope in (["all"], None):  # not a name, so no lookup may raise TypeError
+            with pytest.raises(InvalidParameter, match="unknown scope"):
+                run_scope(scope)
 
     def test_explicit_params_are_used(self, capsys):
         code, out, _ = run(capsys, "verify", "--scope", "theorem1", "--r", "0.07")
@@ -407,6 +412,13 @@ class TestConfig:
         code, out, err = run(capsys, "eval", "--config", str(cfg))
         assert code == 2 and out == ""
         assert err == "error: config key S: invalid real value 'nan'\n"
+
+    def test_bad_axis_names_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("expr=C1[0]\nt-range=0:1\nS-range=-1:1:2\n")
+        code, out, err = run(capsys, "table", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: config key t-range: invalid axis value '0:1'\n"
 
     def test_unknown_scope_lists_scopes(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -27,6 +27,44 @@ def test_a_large_rate_prints_every_group_row(r):
     assert len(ver.run_scope("groups", ModelParams(r, 0.2))) == 13
 
 
+_THEOREM1 = ("base_family_residuals", "superposition_residual")
+_FIRST_SET = {
+    "theorem2": ("transform_closure",),
+    "groups": ("group_laws", "generator_tangency"),
+    "examples": ("reference_reproductions", "invariance_flags"),
+}
+
+
+@pytest.mark.parametrize("params", [None, ModelParams(0.07, 0.3)], ids=["standard", "explicit"])
+@pytest.mark.parametrize("scope", ver.SCOPES)
+def test_run_scope_dispatches_its_suites_in_order(monkeypatch, scope, params):
+    # stubs on the module: a runner that bound the suites at import would
+    # call the real ones, and the bench tracer's suite spans would read 0
+    calls = []
+
+    def stub(name):
+        def suite(params=None):
+            calls.append((name, params))
+            row = ver.CheckResult(name, True, 0.0, 0.0, "")
+            return row if name == "superposition_residual" else [row]
+        return suite
+
+    for name in _THEOREM1 + sum(_FIRST_SET.values(), ()) + ("kummer_identities", "dsl_roundtrip"):
+        monkeypatch.setattr(ver, name, stub(name))
+    sets = (ver.DEFAULT_PARAMS, ver.NEGATIVE_RATE_PARAMS) if params is None else (params,)
+    theorem1 = [(name, p) for p in sets for name in _THEOREM1]
+    first_set = {scope: [(name, sets[0]) for name in names] for scope, names in _FIRST_SET.items()}
+    expected = {
+        "theorem1": theorem1,
+        **first_set,
+        "all": theorem1 + first_set["theorem2"] + first_set["groups"] + first_set["examples"]
+        + [("kummer_identities", None), ("dsl_roundtrip", None)],
+    }[scope]
+    results = ver.run_scope(scope, params)
+    assert calls == expected
+    assert [res.name for res in results] == [name for name, _ in expected]
+
+
 @pytest.mark.parametrize("r, name", [(200.0, "moved_by_G4_C1[0]"), (6.0, "moved_by_G5_C4[-2]")])
 def test_a_large_rate_still_tells_moved_from_fixed(r, name):
     # the field's components carry e^{-2rt} or e^{-rt}: a defect normalised by
