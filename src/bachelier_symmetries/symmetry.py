@@ -43,7 +43,7 @@ composition per distinct t per instance. G_4 and G_5 involve a logarithm
 and a square root, so both directions carry domain conditions, on t alone:
 there is no global admissible parameter range, and a row is in or out as a
 whole. A failed pre-image raises DomainError with the pipeline stage it
-failed at and the message prefix "pipeline stage i: ".
+failed at, or RangeError, both with the message prefix "pipeline stage i: ".
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def _compose(stages, t, params):
     all-identity pipeline gives the identity record. Stage j meets the
     point (T, A S + B) built so far: its new point is affine in S again,
     and its log factor, quadratic in A S + B, adds to the quadratic K. A
-    DomainError is re-raised with the failing stage's zero-based index.
+    stage's DomainError (with its index) or RangeError is re-raised prefixed.
     """
     T, dT, A, dA, B, dB, k0, dk0, k1, dk1, k2, dk2 = (
         t, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -174,9 +174,10 @@ def _compose(stages, t, params):
         try:
             T, sT, sA, sdA, sB, sdB, s0, sd0, s1, sd1, s2, sd2 = _RECORDS[g.gen_index - 1](
                 T, -g.epsilon, params)
-        except DomainError as err:
-            raise DomainError(f"pipeline stage {idx}: no pre-image under "
-                              f"G{g.gen_index}({g.epsilon!r}): {err}", stage=idx) from err
+        except (DomainError, RangeError) as err:
+            message = f"pipeline stage {idx}: no pre-image under G{g.gen_index}({g.epsilon!r}): {err}"
+            raise (DomainError(message, stage=idx) if isinstance(err, DomainError)
+                   else RangeError(message)) from err
         # the stage's coefficients are functions of T(t): chain rule in t
         sdA, sdB, sd0, sd1, sd2 = sdA * dT, sdB * dT, sd0 * dT, sd1 * dT, sd2 * dT
         # s0 + s1 X + s2 X^2 at X = A S + B, the price the stage meets
@@ -225,8 +226,9 @@ def inverse_point_map(
     """The unique (t0, S0) whose image under ``forward_map`` has the target point part.
 
     G_i(eps) is inverted by G_i(-eps): this is the pipeline composition of
-    ``chain_function`` over the one stage g. Raises DomainError, with stage
-    0, outside the G4/G5 log/sqrt domain, and RangeError on a non-finite one.
+    ``chain_function`` over the one stage g. Outside the G4/G5 domain it raises
+    DomainError, with stage 0, and past the float range RangeError, both with
+    the prefix "pipeline stage 0: "; a non-finite pre-image raises RangeError.
     """
     return _finite(_point(_compose((g,), target_t, params), target_S)[:2], target_t, target_S)
 
@@ -273,12 +275,12 @@ class _Transported:
 
     The composed record depends on t alone, so each t's is kept: a row of
     prices, or the shifted times of every FD stencil on it, costs one
-    composition per distinct t. The rows are a dict keyed by t, cleared when
-    it holds _ROWS of them; a zero t also matches its sign. A composition's
-    failure is kept per t, and raised afresh with the same type, message and
-    stage; a point's is not. A row is built whole before it is stored, so
-    threads may share an instance; threads that store at once may pass the
-    bound by a row each before the next clear.
+    composition per distinct t. The rows are a dict keyed by t, a zero t by
+    its sign, (1.0,) or (-1.0,), and cleared at _ROWS entries. An entry is
+    the record, or a composition's failure (None, type, args), raised afresh
+    with the same type, message and stage; a point's is not kept. An entry
+    is built whole before it is stored, so threads may share an instance;
+    threads that store at once may pass the bound by one each before a clear.
     """
 
     __slots__ = ("stages", "base", "params", "_rows")
@@ -289,32 +291,29 @@ class _Transported:
         self.params = params
         self._rows = {}
 
-    def _row(self, t):
-        # a miss, a kept failure or a zero t: equal floats have equal bits but
-        # for 0.0 == -0.0, which a pipeline that keeps t hands on to the base,
-        # so a zero also matches its sign
+    def _record(self, t):
+        # a miss, a kept failure or a zero t: 0.0 == -0.0, yet the base may see the sign
+        key = t if t else (math.copysign(1.0, t),)
         rows = self._rows
-        row = rows.get(t)
-        if row is not None and (t or math.copysign(1.0, t) == math.copysign(1.0, row[0])):
-            if row[1] is None:
-                kind, args = row[2]
-                raise kind(*args)
-            return row
-        if len(rows) >= _ROWS:
-            rows.clear()
-        try:
-            rows[t] = row = (t, _compose(self.stages, t, self.params), None)
-        except (DomainError, RangeError) as err:
-            args = (str(err), err.stage) if isinstance(err, DomainError) else (str(err),)
-            rows[t] = (t, None, (type(err), args))
-            raise
-        return row
+        entry = rows.get(key)
+        if entry is None:
+            if len(rows) >= _ROWS:
+                rows.clear()
+            try:
+                rows[key] = entry = _compose(self.stages, t, self.params)
+            except (DomainError, RangeError) as err:
+                args = (str(err), err.stage) if isinstance(err, DomainError) else (str(err),)
+                rows[key] = (None, type(err), args)
+                raise
+        if entry[0] is None:
+            raise entry[1](*entry[2])
+        return entry
 
     def __call__(self, t: float, S: float) -> float:
-        row = self._rows.get(t)
-        if row is None or row[1] is None or not t:
-            row = self._row(t)
-        T, _, A, _, B, _, k0, _, k1, _, k2, _ = row[1]
+        entry = self._rows.get(t)
+        if entry is None or entry[0] is None:
+            entry = self._record(t)
+        T, _, A, _, B, _, k0, _, k1, _, k2, _ = entry
         K = k0 + (k1 + k2 * S) * S
         value = self.base(T, A * S + B)
         if abs(K) > EXP_GUARD:  # safe_exp's guard; it is called only to raise
@@ -329,10 +328,10 @@ class _Transported:
         if base_partials is None:
             raise InvalidParameter(
                 "exact partials of a transported solution need a base with partials(t, S)")
-        row = self._rows.get(t)
-        if row is None or row[1] is None or not t:
-            row = self._row(t)
-        T, dT, A, dA, B, dB, k0, dk0, k1, dk1, k2, dk2 = row[1]
+        entry = self._rows.get(t)
+        if entry is None or entry[0] is None:
+            entry = self._record(t)
+        T, dT, A, dA, B, dB, k0, dk0, k1, dk1, k2, dk2 = entry
         c, c_t, c_s, c_ss = base_partials(T, A * S + B)
         K = k0 + (k1 + k2 * S) * S
         if abs(K) > EXP_GUARD:

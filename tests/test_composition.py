@@ -141,16 +141,22 @@ class TestRowCache:
         assert message.startswith("pipeline stage 0: no pre-image under G4(1.05)")
 
     def test_failing_record_range_error_composes_once(self, monkeypatch):
-        # G2's drift e^{rt} passes the guard at t = 20000, r = 0.05: the record fails
-        f = chain_function((GroupElement(2, 1.0),), ComboSolution(SolutionTerm(1, 0), P), P)
+        # G2's drift e^{rt} passes the guard at t = 20000, r = 0.05: the record
+        # fails, and its message names the stage, as a domain failure's does
+        base = ComboSolution(SolutionTerm(1, 0), P)
         calls = counted_compositions(monkeypatch)
-        messages = set()
-        for S in (1.0, -0.5):
-            with pytest.raises(RangeError) as info:
-                f(20000.0, S)
-            messages.add(str(info.value))
-        assert calls == [20000.0]
-        assert messages == {"exponent 1000 exceeds the +/-700 guard"}
+        for stages, stage in ((GroupElement(2, 1.0),), 0), \
+                ((GroupElement(6, 0.1), GroupElement(2, 1.0)), 1):
+            f = chain_function(stages, base, P)
+            messages = set()
+            for S in (1.0, -0.5):
+                for call in (f, f.partials):
+                    with pytest.raises(RangeError) as info:
+                        call(20000.0, S)
+                    messages.add(str(info.value))
+            assert messages == {f"pipeline stage {stage}: no pre-image under G2(1.0): "
+                                "exponent 1000 exceeds the +/-700 guard"}
+        assert calls == [20000.0, 20000.0]
 
     def test_table_stays_within_its_bound(self, monkeypatch):
         f = expression_function(PIPELINED, P)
@@ -173,10 +179,15 @@ class TestRowCache:
             with pytest.raises(RangeError, match=r"exponent 801 exceeds the \+/-700 guard"):
                 call(0.25, 1.0)
 
-    def test_signed_zero_times_are_not_shared(self):
+    def test_signed_zero_times_are_not_shared(self, monkeypatch):
         # 0.0 == -0.0, but a pipeline that keeps t hands the sign on to the base
         f = chain_function((GroupElement(2, 0.5),), lambda t, S: math.copysign(1.0, t), P)
+        calls = counted_compositions(monkeypatch)
         assert (f(0.0, 1.0), f(-0.0, 1.0), f(0.0, 1.0)) == (1.0, -1.0, 1.0)
+        # each sign keeps its own record: alternating zeros compose once per sign
+        values = [f(t, 1.0) for _ in range(25) for t in (0.0, -0.0)]
+        assert values == [1.0, -1.0] * 25
+        assert [math.copysign(1.0, t) for t in calls] == [1.0, -1.0]
 
     def test_threads_sharing_one_instance(self):
         # each thread sweeps the points in its own order, so the cache
