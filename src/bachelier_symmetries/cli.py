@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import sys
 
-from .errors import DomainError, InvalidParameter, ParseError, RangeError, SemanticError, finite_real
+from .errors import DomainError, InvalidParameter, ParseError, RangeError, SemanticError, integer
 from .pde_verify import GridSpec
 from .solutions import ModelParams
 from .spec_lang import SolutionExpr, expression_function, format_expr, parse_expr, parse_group_element
@@ -38,13 +38,23 @@ __all__ = ["main"]
 
 def real(text: str) -> float:
     """A finite real flag value; its name is the type that usage errors report."""
-    return finite_real("value", float(text))
+    value = float(text)
+    if abs(value) <= sys.float_info.max:  # a nan fails too
+        return value
+    raise ValueError(text)
 
 
 def axis(text: str) -> tuple[float, float, int]:
-    """A grid axis flag value LO:HI:N; GridSpec checks the range and the count."""
+    """A grid axis flag value LO:HI:N with LO < HI, a finite width and N >= 2.
+
+    The form's errors are reported by its type name, like every flag's; a
+    well-formed axis that breaks this rule raises InvalidParameter saying why.
+    """
     lo, hi, count = text.split(":")
-    return float(lo), float(hi), int(count)
+    lo, hi = float(lo), float(hi)
+    if not (lo < hi and hi - lo <= sys.float_info.max):  # a nan end fails too
+        raise InvalidParameter(f"LO:HI must have LO < HI and a finite width, got {lo!r}:{hi!r}")
+    return lo, hi, integer("N", int(count), lo=2)
 
 
 # Every long flag, once: its value type and help text. A config file takes
@@ -133,6 +143,8 @@ def _read(argv: list[str]):
         kind = _FLAGS[key][0]
         try:
             values[key] = kind(text)
+        except InvalidParameter as err:
+            raise InvalidParameter(f"{label}: {err}") from None
         except ValueError:
             raise InvalidParameter(f"{label}: invalid {kind.__name__} value {text!r}") from None
     for key in requires:
@@ -239,6 +251,3 @@ def main(argv=None) -> int:
         print(f"range error: {err}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    sys.exit(main())

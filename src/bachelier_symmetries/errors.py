@@ -32,14 +32,14 @@ def integer(name: str, value, lo: float = float("-inf"), hi: float = float("inf"
 class DomainError(ValueError):
     """A group map or transformed solution was evaluated outside its domain.
 
-    The message names the offending log/sqrt argument. ``stage`` carries
-    the zero-based pipeline index when the error happened while pulling a
-    point back through group elements (a single ``inverse_point_map`` is
-    stage 0).
+    The message names the offending log/sqrt argument. ``stage``, here and
+    on RangeError, carries the zero-based pipeline index when the error
+    happened while pulling a point back through group elements (a single
+    ``inverse_point_map`` is stage 0), and is None otherwise.
     """
 
     def __init__(self, message: str, stage: int | None = None):
-        super().__init__(message)
+        Exception.__init__(self, message)  # not super(): RangeError shares this
         self.stage = stage
 
 
@@ -49,6 +49,7 @@ class RangeError(ArithmeticError):
     An exponent passed the +/-700 guard, a squared price (S / sigma)^2
     overflowed, or a combination or pipeline result is not finite.
     """
+    __init__ = DomainError.__init__
 
 
 class ParseError(ValueError):

@@ -70,6 +70,13 @@ def safe_exp(x: float) -> float:
     return math.exp(x)
 
 
+def _finite(values, t, S):
+    if not all(map(math.isfinite, values)):
+        raise RangeError(f"result at (t, S) = ({t!r}, {S!r}) is not finite: "
+                         + ", ".join(map(repr, values)))
+    return values
+
+
 class ModelParams(namedtuple("ModelParams", "r sigma")):
     """Market constants: continuously compounded rate r, absolute volatility sigma.
 
@@ -220,7 +227,7 @@ class ComboSolution:
         except (OverflowError, ValueError):  # an intermediate sum overflows, or inf - inf
             value = _exact_sum(values)
         if not math.isfinite(value):
-            raise RangeError(f"combination value at (t, S) = ({t!r}, {S!r}) is not finite")
+            _finite((value,), t, S)
         return value
 
     def _column(self, S: float):
@@ -281,8 +288,7 @@ class ComboSolution:
         c, c_t, c_s, c_ss = sums
         isfinite = math.isfinite
         if not (isfinite(c) and isfinite(c_t) and isfinite(c_s) and isfinite(c_ss)):
-            raise RangeError(f"combination partials at (t, S) = ({t!r}, {S!r}) are not finite: "
-                             + ", ".join(map(repr, sums)))
+            _finite(sums, t, S)
         return sums
 
 

@@ -42,8 +42,8 @@ t alone, so a transported solution keeps it per t, a failed one too: one
 composition per distinct t per instance. G_4 and G_5 involve a logarithm
 and a square root, so both directions carry domain conditions, on t alone:
 there is no global admissible parameter range, and a row is in or out as a
-whole. A failed pre-image raises DomainError with the pipeline stage it
-failed at, or RangeError, both with the message prefix "pipeline stage i: ".
+whole. A failed pre-image raises DomainError or RangeError with the
+pipeline stage it failed at and the message prefix "pipeline stage i: ".
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .errors import DomainError, InvalidParameter, RangeError, finite_real, inte
 from .solutions import (
     EXP_GUARD,
     ModelParams,
+    _finite,
     eval_term_partials,  # noqa: F401  not called here; bench/tracer.py binds this name
     safe_exp,
 )
@@ -163,7 +164,7 @@ def _compose(stages, t, params):
     all-identity pipeline gives the identity record. Stage j meets the
     point (T, A S + B) built so far: its new point is affine in S again,
     and its log factor, quadratic in A S + B, adds to the quadratic K. A
-    stage's DomainError (with its index) or RangeError is re-raised prefixed.
+    stage's DomainError or RangeError is re-raised prefixed, with its index.
     """
     T, dT, A, dA, B, dB, k0, dk0, k1, dk1, k2, dk2 = (
         t, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -175,9 +176,8 @@ def _compose(stages, t, params):
             T, sT, sA, sdA, sB, sdB, s0, sd0, s1, sd1, s2, sd2 = _RECORDS[g.gen_index - 1](
                 T, -g.epsilon, params)
         except (DomainError, RangeError) as err:
-            message = f"pipeline stage {idx}: no pre-image under G{g.gen_index}({g.epsilon!r}): {err}"
-            raise (DomainError(message, stage=idx) if isinstance(err, DomainError)
-                   else RangeError(message)) from err
+            raise type(err)(f"pipeline stage {idx}: no pre-image under "
+                            f"G{g.gen_index}({g.epsilon!r}): {err}", stage=idx) from err
         # the stage's coefficients are functions of T(t): chain rule in t
         sdA, sdB, sd0, sd1, sd2 = sdA * dT, sdB * dT, sd0 * dT, sd1 * dT, sd2 * dT
         # s0 + s1 X + s2 X^2 at X = A S + B, the price the stage meets
@@ -196,13 +196,6 @@ def _point(record, S):
     """A record at price S: the time T, the price A S + B and the log factor k."""
     T, _, A, _, B, _, k0, _, k1, _, k2, _ = record
     return T, A * S + B, k0 + (k1 + k2 * S) * S
-
-
-def _finite(values, t, S):
-    if not all(map(math.isfinite, values)):
-        raise RangeError(f"result at (t, S) = ({t!r}, {S!r}) is not finite: "
-                         + ", ".join(map(repr, values)))
-    return values
 
 
 def forward_map(g: GroupElement, jp: JetPoint, params: ModelParams) -> JetPoint:
@@ -227,10 +220,23 @@ def inverse_point_map(
 
     G_i(eps) is inverted by G_i(-eps): this is the pipeline composition of
     ``chain_function`` over the one stage g. Outside the G4/G5 domain it raises
-    DomainError, with stage 0, and past the float range RangeError, both with
+    DomainError, and past the float range RangeError, both with stage 0 and
     the prefix "pipeline stage 0: "; a non-finite pre-image raises RangeError.
     """
     return _finite(_point(_compose((g,), target_t, params), target_S)[:2], target_t, target_S)
+
+
+def _at(err, t, S, where):
+    """err's type and message, prefixed by the caller's point and what failed there; stage None."""
+    return type(err)(f"result at (t, S) = ({t!r}, {S!r}): {where}: {err}")
+
+
+def _unguarded(K, t, S):
+    """Raise the exponent guard's RangeError for the pipeline's factor e^{-K}, labelled by (t, S)."""
+    try:
+        safe_exp(-K)
+    except RangeError as err:
+        raise _at(err, t, S, "the pipeline's factor e^(-K) fails") from err
 
 
 # no package caller; bench/tracer.py binds this name
@@ -268,17 +274,19 @@ class _Transported:
     evaluates the base itself. ``partials(t, S)`` returns exact
     (C, C_t, C_S, C_SS): the chain rule applied once to the composed record,
     whatever the depth. It needs a base that has ``partials`` and raises
-    InvalidParameter otherwise. A DomainError raised while inverting some
-    stage carries that stage's zero-based index; a K beyond the exponent
-    guard, or a non-finite result, raises RangeError; the base is evaluated
-    before K is judged.
+    InvalidParameter otherwise. A DomainError or RangeError raised while
+    inverting some stage carries that stage's zero-based index as ``stage``.
+    The base is evaluated before K is judged; its DomainError or RangeError,
+    or a K beyond the exponent guard, is raised with the same type, prefixed
+    by the caller's point, "result at (t, S) = (...): ", and stage None, since
+    no stage failed. A non-finite result raises RangeError.
 
     The composed record depends on t alone, so each t's is kept: a row of
     prices, or the shifted times of every FD stencil on it, costs one
     composition per distinct t. The rows are a dict keyed by t, a zero t by
     its sign, (1.0,) or (-1.0,), and cleared at _ROWS entries. An entry is
-    the record, or a composition's failure (None, type, args), raised afresh
-    with the same type, message and stage; a point's is not kept. An entry
+    the record, or a composition's failure (None, type, message, stage),
+    raised afresh as type(message, stage); a point's is not kept. An entry
     is built whole before it is stored, so threads may share an instance;
     threads that store at once may pass the bound by one each before a clear.
     """
@@ -302,11 +310,10 @@ class _Transported:
             try:
                 rows[key] = entry = _compose(self.stages, t, self.params)
             except (DomainError, RangeError) as err:
-                args = (str(err), err.stage) if isinstance(err, DomainError) else (str(err),)
-                rows[key] = (None, type(err), args)
+                rows[key] = (None, type(err), str(err), err.stage)
                 raise
         if entry[0] is None:
-            raise entry[1](*entry[2])
+            raise entry[1](entry[2], entry[3])
         return entry
 
     def __call__(self, t: float, S: float) -> float:
@@ -315,9 +322,12 @@ class _Transported:
             entry = self._record(t)
         T, _, A, _, B, _, k0, _, k1, _, k2, _ = entry
         K = k0 + (k1 + k2 * S) * S
-        value = self.base(T, A * S + B)
-        if abs(K) > EXP_GUARD:  # safe_exp's guard; it is called only to raise
-            safe_exp(-K)
+        try:
+            value = self.base(T, A * S + B)
+        except (DomainError, RangeError) as err:
+            raise _at(err, t, S, "the base fails at its pre-image") from err
+        if abs(K) > EXP_GUARD:  # safe_exp's guard; _unguarded calls it only to raise
+            _unguarded(K, t, S)
         value *= math.exp(-K)
         if not math.isfinite(value):
             _finite((value,), t, S)
@@ -332,10 +342,13 @@ class _Transported:
         if entry is None or entry[0] is None:
             entry = self._record(t)
         T, dT, A, dA, B, dB, k0, dk0, k1, dk1, k2, dk2 = entry
-        c, c_t, c_s, c_ss = base_partials(T, A * S + B)
+        try:
+            c, c_t, c_s, c_ss = base_partials(T, A * S + B)
+        except (DomainError, RangeError) as err:
+            raise _at(err, t, S, "the base fails at its pre-image") from err
         K = k0 + (k1 + k2 * S) * S
         if abs(K) > EXP_GUARD:
-            safe_exp(-K)
+            _unguarded(K, t, S)
         # C(t, S) = e^{-K} c(T, A S + B); linear in c, so e^{-K} scales all four
         K_S = k1 + 2.0 * k2 * S
         E = math.exp(-K)

@@ -89,6 +89,13 @@ class TestEval:
         assert code == 4 and out == ""
         assert err.startswith("range error:") and "not finite" in err
 
+    def test_base_failure_through_a_pipeline_names_the_point(self, capsys):
+        # the base overflows at its pre-image S0 = -1e200, not at the S asked for
+        code, out, err = run(capsys, "eval", "--expr", "C1[0] | G2(1e200)", "--t", "0", "--S", "1")
+        assert (code, out) == (4, "")
+        assert err == ("range error: result at (t, S) = (0.0, 1.0): the base fails at its "
+                       "pre-image: (S / sigma)^2 overflows at S = -1e+200\n")
+
     def test_cancelling_stage_factors_exit(self, capsys):
         # the pipeline composes to the identity, whatever its stages' factors
         code, out, err = run(capsys, "eval", "--expr",
@@ -219,6 +226,15 @@ class TestTable:
         code, _, err = run(capsys, "table", "--expr", "C1[0]",
                            "--t-range", "0:1", "--S-range", "-1:1:2")
         assert (code, err) == (2, "error: --t-range: invalid axis value '0:1'\n")
+
+    @pytest.mark.parametrize("t_range, reason", [
+        ("0:1:1", "N must be an integer in [2, inf], got 1"),
+        ("1:0:3", "LO:HI must have LO < HI and a finite width, got 1.0:0.0"),
+    ])
+    def test_axis_rule_names_the_flag(self, capsys, t_range, reason):
+        code, out, err = run(capsys, "table", "--expr", "C1[0]",
+                             "--t-range", t_range, "--S-range", "-1:1:2")
+        assert (code, out, err) == (2, "", f"error: --t-range: {reason}\n")
 
     def test_non_numeric_range_field(self, capsys):
         code, _, err = run(capsys, "table", "--expr", "C1[0]",
@@ -419,6 +435,16 @@ class TestConfig:
         code, out, err = run(capsys, "table", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err == "error: config key t-range: invalid axis value '0:1'\n"
+
+    @pytest.mark.parametrize("S_range, reason", [
+        ("-1:1:1", "N must be an integer in [2, inf], got 1"),
+        ("1:-1:3", "LO:HI must have LO < HI and a finite width, got 1.0:-1.0"),
+    ])
+    def test_axis_rule_names_config_key(self, capsys, tmp_path, S_range, reason):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"expr=C1[0]\nt-range=0:1:2\nS-range={S_range}\n")
+        code, out, err = run(capsys, "table", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: config key S-range: {reason}\n")
 
     def test_unknown_scope_lists_scopes(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -142,20 +142,20 @@ class TestRowCache:
 
     def test_failing_record_range_error_composes_once(self, monkeypatch):
         # G2's drift e^{rt} passes the guard at t = 20000, r = 0.05: the record
-        # fails, and its message names the stage, as a domain failure's does
+        # fails, and its message and .stage name the stage, as a domain failure's do
         base = ComboSolution(SolutionTerm(1, 0), P)
         calls = counted_compositions(monkeypatch)
         for stages, stage in ((GroupElement(2, 1.0),), 0), \
                 ((GroupElement(6, 0.1), GroupElement(2, 1.0)), 1):
             f = chain_function(stages, base, P)
-            messages = set()
+            outcomes = set()
             for S in (1.0, -0.5):
                 for call in (f, f.partials):
                     with pytest.raises(RangeError) as info:
                         call(20000.0, S)
-                    messages.add(str(info.value))
-            assert messages == {f"pipeline stage {stage}: no pre-image under G2(1.0): "
-                                "exponent 1000 exceeds the +/-700 guard"}
+                    outcomes.add((str(info.value), info.value.stage))
+            assert outcomes == {(f"pipeline stage {stage}: no pre-image under G2(1.0): "
+                                 "exponent 1000 exceeds the +/-700 guard", stage)}
         assert calls == [20000.0, 20000.0]
 
     def test_table_stays_within_its_bound(self, monkeypatch):
@@ -176,8 +176,32 @@ class TestRowCache:
         for call in (f, f.partials):
             with pytest.raises(RangeError, match=r"\(S / sigma\)\^2 overflows at S = 1e\+200"):
                 call(0.25, 1e200)
-            with pytest.raises(RangeError, match=r"exponent 801 exceeds the \+/-700 guard"):
+            with pytest.raises(RangeError, match=r"exponent 801 exceeds the \+/-700 guard") as info:
                 call(0.25, 1.0)
+            # the summed factor's failure names the point asked for; no stage failed
+            assert str(info.value) == ("result at (t, S) = (0.25, 1.0): the pipeline's factor "
+                                       "e^(-K) fails: exponent 801 exceeds the +/-700 guard")
+            assert info.value.stage is None
+
+    def test_a_base_failure_names_the_callers_point(self):
+        # G2(1e200) carries S = 1 back to S0 = 1 - 1e200 e^{0}: the base's own
+        # error names S0, the transport's prefix names the point asked for
+        f = expression_function(parse_expr("C1[0] | G2(1e200)"), P)
+        for call in (f, f.partials):
+            with pytest.raises(RangeError) as info:
+                call(0.0, 1.0)
+            assert str(info.value) == (
+                "result at (t, S) = (0.0, 1.0): the base fails at its pre-image: "
+                "(S / sigma)^2 overflows at S = -1e+200")
+            assert info.value.stage is None
+        # a base's domain error keeps its type
+        inner = chain_function((GroupElement(4, 1.05),), ComboSolution(SolutionTerm(1, 0), P), P)
+        f = chain_function((GroupElement(2, 0.5),), inner, P)
+        with pytest.raises(DomainError) as info:
+            f(0.25, 1.0)
+        assert str(info.value).startswith("result at (t, S) = (0.25, 1.0): the base fails at "
+                                          "its pre-image: pipeline stage 0: no pre-image under G4(1.05)")
+        assert info.value.stage is None
 
     def test_signed_zero_times_are_not_shared(self, monkeypatch):
         # 0.0 == -0.0, but a pipeline that keeps t hands the sign on to the base

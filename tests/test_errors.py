@@ -115,3 +115,10 @@ def test_every_evaluation_is_finite_or_raises_a_typed_error(expr, element, jet, 
             continue
         values = result if isinstance(result, tuple) else (result,)
         assert all(type(v) is float and math.isfinite(v) for v in values), (name, result)
+
+
+def test_both_evaluation_errors_carry_a_stage():
+    for kind in (DomainError, RangeError):
+        assert kind("x", stage=1).stage == 1 and kind("x", 2).stage == 2
+        err = kind("x")
+        assert (err.stage, err.args, str(err)) == (None, ("x",), "x")
