@@ -43,8 +43,8 @@ from collections import namedtuple
 from . import kummer
 from .errors import InvalidParameter, RangeError, finite_real, integer
 from .kummer import _sweep, _value
-# not called here since terms are compiled; bench/tracer.py binds these names
-from .kummer import kummer_truncated, kummer_truncated_du, kummer_truncated_d2u  # noqa: F401
+# for bench/tracer.py, which rebinds these uncalled names; ROADMAP item 1 deletes this line
+eval_term = eval_term_partials = kummer_truncated = kummer_truncated_du = kummer_truncated_d2u = None
 
 __all__ = [
     "EXP_GUARD",
@@ -290,16 +290,3 @@ class ComboSolution:
         if not (isfinite(c) and isfinite(c_t) and isfinite(c_s) and isfinite(c_ss)):
             _finite(sums, t, S)
         return sums
-
-
-# no package caller; bench/tracer.py binds this name
-def eval_term(term: SolutionTerm, t: float, S: float, params: ModelParams) -> float:
-    """Value of coeff * C_{q,n}(t, S): the one-term ``ComboSolution``."""
-    return ComboSolution(term, params)(t, S)
-
-
-def eval_term_partials(
-    term: SolutionTerm, t: float, S: float, params: ModelParams
-) -> tuple[float, float, float, float]:
-    """(C, C_t, C_S, C_SS) of coeff * C_{q,n} at (t, S): the one-term ``ComboSolution``."""
-    return ComboSolution(term, params).partials(t, S)

@@ -57,9 +57,10 @@ from .solutions import (
     EXP_GUARD,
     ModelParams,
     _finite,
-    eval_term_partials,  # noqa: F401  not called here; bench/tracer.py binds this name
     safe_exp,
 )
+# for bench/tracer.py, which rebinds these uncalled names; ROADMAP item 1 deletes this line
+eval_term_partials = pullback = pullback_chain = None
 
 __all__ = [
     "GroupElement",
@@ -239,30 +240,11 @@ def _unguarded(K, t, S):
         raise _at(err, t, S, "the pipeline's factor e^(-K) fails") from err
 
 
-# no package caller; bench/tracer.py binds this name
-def pullback(g: GroupElement, f: Callable[[float, float], float], t: float, S: float,
-             params: ModelParams) -> float:
-    """Value at (t, S) of f transported through g: ``pullback_chain((g,), ...)``."""
-    return pullback_chain((g,), f, t, S, params)
-
-
 def transformed(
     g: GroupElement, f: Callable[[float, float], float], params: ModelParams
 ) -> Callable[[float, float], float]:
     """f transported through one group element: ``chain_function((g,), f, params)``."""
     return chain_function((g,), f, params)
-
-
-# no package caller; bench/tracer.py binds this name
-def pullback_chain(
-    pipeline: Sequence[GroupElement],
-    f: Callable[[float, float], float],
-    t: float,
-    S: float,
-    params: ModelParams,
-) -> float:
-    """Value at (t, S) of f transported through the pipeline: ``chain_function(...)(t, S)``."""
-    return chain_function(pipeline, f, params)(t, S)
 
 
 class _Transported:

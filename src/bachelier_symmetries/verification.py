@@ -52,6 +52,8 @@ from .symmetry import (
     generator_eval,
     transformed,
 )
+# for bench/tracer.py, which rebinds this uncalled name; ROADMAP item 1 deletes this line
+fixed_surface_check = None
 
 __all__ = [
     "CheckResult",
@@ -283,18 +285,6 @@ def surface_defect(
     if not defects:
         raise InvalidParameter("surface check needs a non-empty sample")
     return worst_case(defects)
-
-
-# no package caller; bench/tracer.py binds this name
-def fixed_surface_check(
-    i: int,
-    term: SolutionTerm,
-    sample: Iterable[tuple[float, float]],
-    params: ModelParams,
-    tol: float = TOL_SURFACE,
-) -> bool:
-    """True when ``surface_defect`` on the sample is below ``tol``: fixed up to the sample."""
-    return surface_defect(i, term, sample, params) < tol
 
 
 _SURFACE_SAMPLE = ((0.1, 0.5), (0.3, -1.2), (0.45, 0.8), (0.6, 1.4), (0.9, -0.7))

@@ -1,10 +1,13 @@
 """Outputs pinned to the bit: ``verify --scope all`` stdout and two tables' digests.
 
 ``golden/verify_all.txt`` is ``bachsym verify --scope all`` stdout at the
-standard parameter sets. ``golden/tables.txt`` holds one tab-separated line
-per table: its --expr, --t-range and --S-range, then the SHA-256 of its
-stdout and its trailer line. A change that moves a bit of these outputs
-regenerates both files in the same commit, so that its diff shows what moved:
+standard parameter sets, and ``golden/verify_all_r<RATE>.txt`` its stdout at
+``--r RATE`` for each of RATES; ``tests/test_cli.py`` compares those with the
+referee runs it already makes at these rates. ``golden/tables.txt`` holds one
+tab-separated line per table: its --expr, --t-range and --S-range, then the
+SHA-256 of its stdout and its trailer line. A change that moves a bit of these
+outputs regenerates the files in the same commit, so that its diff shows what
+moved:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,9 +30,11 @@ from bachelier_symmetries.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PLATFORM = ("linux", "x86_64", ("glibc", "2.36"))
+SAME_PLATFORM = (sys.platform, platform.machine(), platform.libc_ver()) == PLATFORM
+RATES = ("6", "200", "1e300")  # the --r of golden/verify_all_r<RATE>.txt
 
 pytestmark = pytest.mark.skipif(
-    (sys.platform, platform.machine(), platform.libc_ver()) != PLATFORM,
+    not SAME_PLATFORM,
     reason=f"the golden bytes were made on {PLATFORM}; another libm may round differently")
 
 
@@ -64,11 +69,16 @@ def first_difference(new, old):
     return None
 
 
+def pinned_difference(name, out):
+    """'NAME, line N: ...' at the first line where OUT differs from golden/NAME, or None."""
+    difference = first_difference(out, (GOLDEN / name).read_text(encoding="utf-8"))
+    return difference and f"{name}, {difference}"
+
+
 def test_verify_all_stdout_is_pinned():
     code, out = stdout_of("verify", "--scope", "all")
-    pinned = (GOLDEN / "verify_all.txt").read_text(encoding="utf-8")
-    difference = first_difference(out, pinned)
-    assert difference is None, f"verify_all.txt, {difference}"
+    difference = pinned_difference("verify_all.txt", out)
+    assert difference is None, difference
     assert code == 0
 
 
@@ -79,9 +89,12 @@ def test_table_digest_and_trailer_are_pinned(line):
 
 
 if __name__ == "__main__":
-    # rewrite both files from this tree's outputs; the tables keep their arguments
+    # rewrite every file from this tree's outputs; the tables keep their arguments
     code, out = stdout_of("verify", "--scope", "all")
     (GOLDEN / "verify_all.txt").write_text(out, encoding="utf-8")
+    for rate in RATES:
+        (GOLDEN / f"verify_all_r{rate}.txt").write_text(
+            stdout_of("verify", "--scope", "all", "--r", rate)[1], encoding="utf-8")
     comments = [line for line in (GOLDEN / "tables.txt").read_text(encoding="utf-8").splitlines()
                 if line.startswith("#")]
     rows = [table_line(*line.split("\t")[:3]) for line in pinned_tables()]

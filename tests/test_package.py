@@ -1,6 +1,7 @@
 """The package root offers one public name per operation."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -21,6 +22,14 @@ UPPER = {"pde_verify", "verification", "reference_forms", "cli"}
 # the root's other names for chain_function and ComboSolution
 ALIASES = ("eval_term", "eval_term_partials", "pullback", "pullback_chain", "transformed")
 
+# the names bench/tracer.py rebinds and the package never calls, by module
+PLACEHOLDERS = {
+    "solutions": {"eval_term", "eval_term_partials", "kummer_truncated", "kummer_truncated_du",
+                  "kummer_truncated_d2u"},
+    "symmetry": {"eval_term_partials", "pullback", "pullback_chain"},
+    "verification": {"fixed_surface_check"},
+}
+
 
 def test_root_surface():
     names = bachelier_symmetries.__all__
@@ -33,6 +42,27 @@ def test_module_surfaces_leave_out_the_aliases():
     for module in (solutions, symmetry):
         assert all(hasattr(module, name) for name in module.__all__)
         assert set(module.__all__).isdisjoint(ALIASES + ("fixed_surface_check",))
+
+
+def test_tracer_only_names_are_uncalled_placeholders():
+    for module, names in PLACEHOLDERS.items():
+        namespace = importlib.import_module(f"bachelier_symmetries.{module}")
+        assert {name: getattr(namespace, name) for name in names} == dict.fromkeys(names)
+    # a module's own placeholders are not called in it, and no module imports
+    # another's or reads one as an attribute
+    reached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                placeholders, used = PLACEHOLDERS.get(path.stem, set()), [node.func.id]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                placeholders, used = PLACEHOLDERS.get(node.module, set()), [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                placeholders, used = PLACEHOLDERS.get(node.value.id, set()), [node.attr]
+            else:
+                continue
+            reached += [(path.stem, name) for name in used if name in placeholders]
+    assert reached == []
 
 
 def test_cold_import_loads_no_re_enum_argparse_dataclasses_typing_or_inspect():

@@ -19,8 +19,6 @@ from bachelier_symmetries.solutions import (
     ComboSolution,
     ModelParams,
     SolutionTerm,
-    eval_term,
-    eval_term_partials,
     safe_exp,
 )
 from bachelier_symmetries.pde_verify import default_step
@@ -69,16 +67,16 @@ class TestSolutionTerm:
 class TestFamilyValues:
     @pytest.mark.parametrize("t,S", POINTS)
     def test_class1_order0_is_price(self, t, S):
-        assert eval_term(SolutionTerm(1, 0), t, S, P) == pytest.approx(S, rel=1e-15, abs=0.0)
+        assert ComboSolution(SolutionTerm(1, 0), P)(t, S) == pytest.approx(S, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("t,S", POINTS)
     def test_class2_order0_is_carrier(self, t, S):
-        assert eval_term(SolutionTerm(2, 0), t, S, P) == pytest.approx(
+        assert ComboSolution(SolutionTerm(2, 0), P)(t, S) == pytest.approx(
             math.exp(P.r * t), rel=1e-15)
 
     def test_class4_order2_frozen_point(self):
         # e^{4rt - u} (1 - 2u) with u = r (S/sigma)^2 at t=0, S=0.1: u = 0.0125
-        value = eval_term(SolutionTerm(4, -2), 0.0, 0.1, P)
+        value = ComboSolution(SolutionTerm(4, -2), P)(0.0, 0.1)
         assert value == pytest.approx(math.exp(-0.0125) * 0.975, rel=1e-14)
 
     @pytest.mark.parametrize("params", [P, P_NEG])
@@ -86,7 +84,7 @@ class TestFamilyValues:
     def test_class4_order2_formula(self, params, t, S):
         u = params.r * (S / params.sigma) ** 2
         expected = math.exp(4.0 * params.r * t - u) * (1.0 - 2.0 * u)
-        assert eval_term(SolutionTerm(4, -2), t, S, params) == pytest.approx(
+        assert ComboSolution(SolutionTerm(4, -2), params)(t, S) == pytest.approx(
             expected, rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("params", [P, P_NEG])
@@ -94,33 +92,30 @@ class TestFamilyValues:
     def test_class1_order2_formula(self, params, t, S):
         u = params.r * (S / params.sigma) ** 2
         expected = S * (1.0 + (2.0 / 3.0) * u) * math.exp(-2.0 * params.r * t)
-        assert eval_term(SolutionTerm(1, -2), t, S, params) == pytest.approx(
+        assert ComboSolution(SolutionTerm(1, -2), params)(t, S) == pytest.approx(
             expected, rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("t,S", POINTS)
     def test_class3_order2_formula(self, t, S):
         u = P.r * (S / P.sigma) ** 2
         expected = S * (1.0 - (2.0 / 3.0) * u) * math.exp(5.0 * P.r * t - u)
-        assert eval_term(SolutionTerm(3, -2), t, S, P) == pytest.approx(
+        assert ComboSolution(SolutionTerm(3, -2), P)(t, S) == pytest.approx(
             expected, rel=1e-13, abs=1e-13)
 
     def test_coefficient_scales_value(self):
-        plain = eval_term(SolutionTerm(2, -4), 0.4, 1.1, P)
-        scaled = eval_term(SolutionTerm(2, -4, -3.5), 0.4, 1.1, P)
+        plain = ComboSolution(SolutionTerm(2, -4), P)(0.4, 1.1)
+        scaled = ComboSolution(SolutionTerm(2, -4, -3.5), P)(0.4, 1.1)
         assert scaled == pytest.approx(-3.5 * plain, rel=1e-15)
 
     def test_overflow_guard(self):
         with pytest.raises(RangeError):
-            eval_term(SolutionTerm(2, 0), 2.0e4, 0.0, P)
+            ComboSolution(SolutionTerm(2, 0), P)(2.0e4, 0.0)
 
 
 def _fd_partials(term, t, S, params):
     h_t = default_step(t)
     h_s = default_step(S)
-
-    def f(tt, ss):
-        return eval_term(term, tt, ss, params)
-
+    f = ComboSolution(term, params)
     c_t = (4.0 * (f(t + h_t / 2, S) - f(t - h_t / 2, S)) / h_t
            - (f(t + h_t, S) - f(t - h_t, S)) / (2.0 * h_t)) / 3.0
     c_s = (4.0 * (f(t, S + h_s / 2) - f(t, S - h_s / 2)) / h_s
@@ -134,16 +129,16 @@ def _fd_partials(term, t, S, params):
 class TestPartials:
     @pytest.mark.parametrize("t,S", POINTS)
     def test_linear_member(self, t, S):
-        c, c_t, c_s, c_ss = eval_term_partials(SolutionTerm(1, 0), t, S, P)
+        c, c_t, c_s, c_ss = ComboSolution(SolutionTerm(1, 0), P).partials(t, S)
         assert (c, c_t, c_s, c_ss) == (pytest.approx(S), 0.0, pytest.approx(1.0), 0.0)
 
     def test_carrier_member(self):
-        c, c_t, c_s, c_ss = eval_term_partials(SolutionTerm(2, 0), 0.7, -1.2, P)
+        c, c_t, c_s, c_ss = ComboSolution(SolutionTerm(2, 0), P).partials(0.7, -1.2)
         assert c_t == pytest.approx(P.r * math.exp(P.r * 0.7), rel=1e-14)
         assert c_s == 0.0 and c_ss == 0.0
 
     def test_frozen_cross_check_point(self):
-        c, c_t, c_s, c_ss = eval_term_partials(SolutionTerm(4, -2), 0.3, 0.7, P)
+        c, c_t, c_s, c_ss = ComboSolution(SolutionTerm(4, -2), P).partials(0.3, 0.7)
         f_t, f_s, f_ss = _fd_partials(SolutionTerm(4, -2), 0.3, 0.7, P)
         assert c_t == pytest.approx(f_t, rel=1e-7)
         assert c_s == pytest.approx(f_s, rel=1e-7)
@@ -154,7 +149,7 @@ class TestPartials:
     def test_all_members_match_finite_differences(self, q, n):
         term = SolutionTerm(q, n)
         for t, S in ((0.25, 0.9), (0.75, -1.6)):
-            c_t, c_s, c_ss = eval_term_partials(term, t, S, P)[1:]
+            c_t, c_s, c_ss = ComboSolution(term, P).partials(t, S)[1:]
             f_t, f_s, f_ss = _fd_partials(term, t, S, P)
             for exact, numeric in ((c_t, f_t), (c_s, f_s), (c_ss, f_ss)):
                 assert abs(exact - numeric) <= 1e-7 * max(1.0, abs(exact))
@@ -162,16 +157,17 @@ class TestPartials:
     @pytest.mark.parametrize("params", [P, P_NEG])
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_value_matches_eval_term(self, q, params):
-        # the value slot rounds like eval_term even where the Gaussian
+        # the value slot rounds like the value path even where the Gaussian
         # exponent is large (|u| up to 320 at |S| = 16)
         for n in range(0, -14, -2):
             for coeff in (1.0, -2.5, 0.3):
                 term = SolutionTerm(q, n, coeff)
+                f = ComboSolution(term, params)
                 for t in (0.0, 1.0):
                     for k in range(-32, 33):
                         S = k / 2.0
-                        value = eval_term(term, t, S, params)
-                        c = eval_term_partials(term, t, S, params)[0]
+                        value = f(t, S)
+                        c = f.partials(t, S)[0]
                         assert abs(value - c) <= 1e-15 * abs(value), (term, t, S)
 
 
@@ -179,7 +175,7 @@ class TestCombos:
     def test_single_term_combo_matches_term(self):
         term = SolutionTerm(3, -4, 2.5)
         combo = BaseCombo((term,))
-        assert ComboSolution(combo, P)(0.4, 1.3) == eval_term(term, 0.4, 1.3, P)
+        assert ComboSolution(combo, P)(0.4, 1.3) == ComboSolution(term, P)(0.4, 1.3)
 
     def test_worked_combo_at_origin(self):
         # S-prefixed members vanish, carriers are 1: 1 + 3 + 7 + 9 = 20
@@ -245,9 +241,9 @@ class TestCombos:
 def test_squared_price_overflow_is_range_error(S):
     term = SolutionTerm(1, 0)
     with pytest.raises(RangeError, match="overflows"):
-        eval_term(term, 0.0, S, P)
+        ComboSolution(term, P)(0.0, S)
     with pytest.raises(RangeError, match="overflows"):
-        eval_term_partials(term, 0.0, S, P)
+        ComboSolution(term, P).partials(0.0, S)
 
 
 # Term by term from the public Kummer functions, in the order of operations

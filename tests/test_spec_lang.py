@@ -16,7 +16,7 @@ from bachelier_symmetries.spec_lang import (
     parse_expr,
     parse_group_element,
 )
-from bachelier_symmetries.symmetry import GroupElement, pullback_chain
+from bachelier_symmetries.symmetry import GroupElement, chain_function
 from bachelier_symmetries.verification import _BAD_SEMANTICS, _MALFORMED
 
 P = ModelParams(r=0.05, sigma=0.2)
@@ -217,4 +217,4 @@ class TestExpressionFunction:
         expr = parse_expr("C4[-2] | G2(0.4) | G6(0.3)")
         f = expression_function(expr, P)
         base = ComboSolution(expr.combo, P)
-        assert f(0.3, 0.8) == pullback_chain(expr.pipeline, base, 0.3, 0.8, P)
+        assert f(0.3, 0.8) == chain_function(expr.pipeline, base, P)(0.3, 0.8)

@@ -23,14 +23,12 @@ from bachelier_symmetries.symmetry import (
     forward_map,
     generator_eval,
     inverse_point_map,
-    pullback,
-    pullback_chain,
     transformed,
 )
 from bachelier_symmetries.reference_forms import g4_family_from_linear
 from bachelier_symmetries.verification import (
     TOL_CLOSURE_RESIDUAL,
-    fixed_surface_check,
+    TOL_SURFACE,
     surface_defect,
 )
 from fd_oracle import derivative_richardson
@@ -153,46 +151,41 @@ class TestPullback:
         self.linear = ComboSolution(SolutionTerm(1, 0), P)
 
     def test_scaling_group_scales_values(self):
-        value = pullback(GroupElement(6, 0.8), self.linear, 0.4, 1.2, P)
+        value = chain_function((GroupElement(6, 0.8),), self.linear, P)(0.4, 1.2)
         assert value == pytest.approx(math.exp(0.8) * 1.2, rel=1e-14)
 
     def test_group4_matches_hand_coded_family(self):
         for t, s, eps in ((0.2, 0.9, 0.3), (0.7, -1.1, -0.25), (0.5, 1.8, 0.1)):
-            routed = pullback(GroupElement(4, -eps), self.linear, t, s, P)
+            routed = chain_function((GroupElement(4, -eps),), self.linear, P)(t, s)
             direct = g4_family_from_linear(t, s, eps, P)
             assert routed == pytest.approx(direct, rel=1e-12)
 
     def test_empty_chain_evaluates_base(self):
-        assert pullback_chain((), self.linear, 0.3, 0.9, P) == self.linear(0.3, 0.9)
+        assert chain_function((), self.linear, P)(0.3, 0.9) == self.linear(0.3, 0.9)
 
     def test_scaling_chain_composes(self):
-        value = pullback_chain((GroupElement(6, 0.3), GroupElement(6, 0.45)),
-                               self.linear, 0.2, 1.5, P)
+        value = chain_function((GroupElement(6, 0.3), GroupElement(6, 0.45)),
+                               self.linear, P)(0.2, 1.5)
         assert value == pytest.approx(math.exp(0.75) * 1.5, rel=1e-14)
 
     def test_inverse_pair_cancels(self):
-        value = pullback_chain((GroupElement(1, 0.4), GroupElement(1, -0.4)),
-                               self.linear, 0.6, -0.9, P)
+        value = chain_function((GroupElement(1, 0.4), GroupElement(1, -0.4)),
+                               self.linear, P)(0.6, -0.9)
         assert value == pytest.approx(self.linear(0.6, -0.9), rel=1e-13)
 
     def test_chain_reports_failing_stage(self):
         pipeline = (GroupElement(6, 0.1), GroupElement(4, 2.0))
         with pytest.raises(DomainError) as info:
-            pullback_chain(pipeline, self.linear, 0.0, 1.0, P)
+            chain_function(pipeline, self.linear, P)(0.0, 1.0)
         assert info.value.stage == 1
         with pytest.raises(DomainError) as info:
-            pullback_chain((GroupElement(4, 2.0), GroupElement(6, 0.1)),
-                           self.linear, 0.0, 1.0, P)
+            chain_function((GroupElement(4, 2.0), GroupElement(6, 0.1)),
+                           self.linear, P)(0.0, 1.0)
         assert info.value.stage == 0
-
-    def test_chain_function_matches_chain(self):
-        pipeline = (GroupElement(2, 0.7), GroupElement(3, -0.2), GroupElement(5, 0.1))
-        bound = chain_function(pipeline, self.linear, P)
-        assert bound(0.45, 0.8) == pullback_chain(pipeline, self.linear, 0.45, 0.8, P)
 
     def test_transformed_binds_parameters(self):
         f = transformed(GroupElement(2, 0.5), self.linear, P)
-        assert f(0.3, 1.0) == pullback(GroupElement(2, 0.5), self.linear, 0.3, 1.0, P)
+        assert f(0.3, 1.0) == chain_function((GroupElement(2, 0.5),), self.linear, P)(0.3, 1.0)
 
     def test_overflow_guard_fires_near_domain_boundary(self):
         # at t = 0.5 the pre-image under eps = 1.05 exists (e^{2rt} - eps is
@@ -201,7 +194,7 @@ class TestPullback:
         from bachelier_symmetries.errors import RangeError
 
         with pytest.raises(RangeError):
-            pullback(GroupElement(4, 1.05), self.linear, 0.5, 1.0, P)
+            chain_function((GroupElement(4, 1.05),), self.linear, P)(0.5, 1.0)
 
     def test_stacked_stage_overflow_raises(self):
         # each stage's factor e^{+/-400} passes the exponent guard; the summed
@@ -214,10 +207,8 @@ class TestPullback:
                     f(0.0, 1.0)
                 with pytest.raises(RangeError, match=r"exceeds the \+/-700 guard"):
                     f.partials(0.0, 1.0)
-            with pytest.raises(RangeError, match=r"exceeds the \+/-700 guard"):
-                pullback_chain(pipeline, self.linear, 0.0, 1.0, P)
             # one stage alone stays finite
-            assert math.isfinite(pullback_chain(pipeline[:1], self.linear, 0.0, 1.0, P))
+            assert math.isfinite(chain_function(pipeline[:1], self.linear, P)(0.0, 1.0))
         # a factor within the guard can still overflow with the base's value
         heavy = chain_function((GroupElement(6, 100.0),),
                                ComboSolution(SolutionTerm(1, 0, 1e300), P), P)
@@ -306,7 +297,7 @@ class TestProlongedPartials:
     def test_domain_error_names_the_same_stage(self, pipeline):
         base = ComboSolution(SolutionTerm(1, 0), P)
         with pytest.raises(DomainError) as from_chain:
-            pullback_chain(pipeline, base, 0.0, 1.0, P)
+            chain_function(pipeline, base, P)(0.0, 1.0)
         with pytest.raises(DomainError) as from_partials:
             chain_function(pipeline, base, P).partials(0.0, 1.0)
         assert from_partials.value.stage == from_chain.value.stage
@@ -360,21 +351,21 @@ class TestFixedSurfaces:
     SAMPLE = ((0.1, 0.5), (0.3, -1.2), (0.45, 0.8), (0.9, -0.7))
 
     def test_linear_solution_moves_under_group4(self):
-        assert fixed_surface_check(4, SolutionTerm(1, 0), self.SAMPLE, P) is False
+        assert not surface_defect(4, SolutionTerm(1, 0), self.SAMPLE, P) < TOL_SURFACE
 
     def test_gaussian_member_moves_under_group5(self):
-        assert fixed_surface_check(5, SolutionTerm(4, -2), self.SAMPLE, P) is False
+        assert not surface_defect(5, SolutionTerm(4, -2), self.SAMPLE, P) < TOL_SURFACE
 
     def test_linear_solution_fixed_under_time_translation(self):
-        assert fixed_surface_check(1, SolutionTerm(1, 0), self.SAMPLE, P) is True
+        assert surface_defect(1, SolutionTerm(1, 0), self.SAMPLE, P) < TOL_SURFACE
 
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidParameter):
-            fixed_surface_check(1, SolutionTerm(1, 0), (), P)
+            surface_defect(1, SolutionTerm(1, 0), (), P)
 
     def test_nan_defect_is_not_fixed(self):
         # at S = 1e153 the generator's C component overflows, so the
         # defect is inf / inf; a finite point before it must not hide it
         sample = ((0.3, -1.2), (0.1, 1e153), (0.45, 0.8))
         assert math.isnan(surface_defect(4, SolutionTerm(1, 0), sample, P))
-        assert fixed_surface_check(4, SolutionTerm(1, 0), [(0.1, 1e153)], P) is False
+        assert not surface_defect(4, SolutionTerm(1, 0), [(0.1, 1e153)], P) < TOL_SURFACE

@@ -115,8 +115,8 @@ def test_nan_kummer_values_fail_every_identity(monkeypatch):
 
 
 def test_nan_defect_fails_every_flag(monkeypatch):
-    # a NaN defect is neither fixed nor moved; at the fixed_surface_check
-    # level it reads "not fixed", which alone would pass the moved rows
+    # a NaN defect is neither fixed nor moved; compared as defect < tol it
+    # reads "not fixed", which alone would pass the moved rows
     monkeypatch.setattr(ver, "surface_defect", lambda *args: math.nan)
     results = ver.invariance_flags()
     measured = _all_fail_on_nan(results, 3)
