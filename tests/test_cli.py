@@ -280,6 +280,15 @@ class TestVerify:
         assert code == 0
         assert "r=0.07" in out and "r=-0.03" not in out
 
+    def test_overflowing_rate_fails_every_closure_row(self, capsys):
+        # every scan point overflows and scores a NaN residual, so every
+        # row prints and fails instead of one RangeError ending the run
+        code, out, _ = run(capsys, "verify", "--scope", "theorem2", "--r", "1e300")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 13 and lines[-1] == "# 0/12 checks passed"
+        assert all(line.startswith("FAIL") and "measured=nan" in line for line in lines[:-1])
+
     def test_overflowing_rate_fails_every_oracle_row(self, capsys):
         # every sample of the reproduction and surface oracles overflows and
         # is measured as NaN, so all six rows print and fail
@@ -306,13 +315,6 @@ class TestVerify:
         assert code == 1
         lines = out.splitlines()
         assert len(lines) == 59 and lines[-1].endswith("/58 checks passed")
-        if rate == "1e300":
-            # every closure scan point overflows and scores a NaN residual, so
-            # every closure row prints and fails instead of one RangeError
-            # ending the run
-            closure = [line for line in lines if line.split()[1].startswith("closure_")]
-            assert len(closure) == 12
-            assert all(line.startswith("FAIL") and "measured=nan" in line for line in closure)
         if SAME_PLATFORM:  # the golden bytes' platform; elsewhere only the counts above
             difference = pinned_difference(f"verify_all_r{rate}.txt", out)
             assert difference is None, difference
