@@ -32,24 +32,35 @@ def integer(name: str, value, lo: float = float("-inf"), hi: float = float("inf"
 class DomainError(ValueError):
     """A group map or transformed solution was evaluated outside its domain.
 
-    The message names the offending log/sqrt argument. ``stage``, here and
-    on RangeError, carries the zero-based pipeline index when the error
-    happened while pulling a point back through group elements (a single
-    ``inverse_point_map`` is stage 0), and is None otherwise.
+    The message names the offending log/sqrt argument (fields w or v, t,
+    eps). ``stage``, here and on RangeError, carries the zero-based pipeline
+    index when the error happened while pulling a point back through group
+    elements (a single ``inverse_point_map`` is stage 0), and is None
+    otherwise; such a stage's failure also keeps ``group``, ``eps`` and the
+    stage's own error ``err``. A raise may pass a template and, as keywords,
+    the values it names, as in ``RangeError(_GUARD, x=x)``: they are kept as
+    attributes (``err.x``), and ``str(err)`` joins the text only when it is
+    read. A message passed without keywords is a finished text.
     """
 
-    def __init__(self, message: str, stage: int | None = None):
+    def __init__(self, message: str, stage: int | None = None, **fields):
         Exception.__init__(self, message)  # not super(): RangeError shares this
-        self.stage = stage
+        fields["stage"] = stage
+        self.__dict__ = fields  # a fresh dict: the keywords and stage, as attributes
+
+    def __str__(self):  # a finished text has no field but stage
+        return self.args[0].format_map(vars(self)) if len(vars(self)) > 1 else self.args[0]
 
 
 class RangeError(ArithmeticError):
     """A value left the float range during evaluation.
 
-    An exponent passed the +/-700 guard, a squared price (S / sigma)^2
-    overflowed, or a combination or pipeline result is not finite.
+    An exponent passed the +/-700 guard (field x), a squared price
+    (S / sigma)^2 overflowed (field S), or a combination or pipeline result
+    is not finite (a finished text). Fields are kept as DomainError's are.
     """
     __init__ = DomainError.__init__
+    __str__ = DomainError.__str__
 
 
 class ParseError(ValueError):

@@ -151,5 +151,5 @@ def kummer_truncated_du(m: int, b: float, u: float) -> float:
 
 
 def kummer_truncated_d2u(m: int, b: float, u: float) -> float:
-    """Second u-derivative of ``kummer_truncated``; needed for price curvature."""
+    """Second u-derivative of ``kummer_truncated``; the evaluator's own comes from ``_sweep``."""
     return _sweep(_tables(m, b), u)[2]

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 EXP_GUARD = 700.0
+_GUARD = f"exponent {{x:.6g}} exceeds the +/-{EXP_GUARD:.0f} guard"  # a template, see errors
 _COLUMNS = 256  # prices whose partials columns a ComboSolution keeps; a 201-wide table fits
 
 
@@ -66,7 +67,7 @@ def safe_exp(x: float) -> float:
     overflowing to inf (or collapsing to 0 on the negative side).
     """
     if abs(x) > EXP_GUARD:
-        raise RangeError(f"exponent {x:.6g} exceeds the +/-{EXP_GUARD:.0f} guard")
+        raise RangeError(_GUARD, x=x)
     return math.exp(x)
 
 
@@ -159,7 +160,7 @@ def _argument(S: float, params: ModelParams) -> float:
     try:
         return params.r * (S / params.sigma) ** 2
     except OverflowError:
-        raise RangeError(f"(S / sigma)^2 overflows at S = {S!r}") from None
+        raise RangeError("(S / sigma)^2 overflows at S = {S!r}", S=S) from None
 
 
 class ComboSolution:
@@ -219,8 +220,8 @@ class ComboSolution:
             exponent = alpha * t
             if with_gauss:
                 exponent -= u
-            if abs(exponent) > EXP_GUARD:  # safe_exp's guard; it is called only to raise
-                safe_exp(exponent)
+            if abs(exponent) > EXP_GUARD:  # safe_exp's guard
+                raise RangeError(_GUARD, x=exponent)
             values.append(coeff * value * math.exp(exponent))
         try:
             value = math.fsum(values)
@@ -269,8 +270,8 @@ class ComboSolution:
         seconds = []
         for coeff, alpha, g, f0, f1, f2 in self._columns.get(S) or self._column(S):
             exponent = alpha * t - g
-            if abs(exponent) > EXP_GUARD:  # safe_exp raises; a NaN passes it
-                safe_exp(exponent)
+            if abs(exponent) > EXP_GUARD:  # safe_exp's guard; a NaN passes it
+                raise RangeError(_GUARD, x=exponent)
             carrier = coeff * exp(exponent)
             c = carrier * f0
             values.append(c)

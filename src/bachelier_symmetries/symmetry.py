@@ -43,7 +43,8 @@ composition per distinct t per instance. G_4 and G_5 involve a logarithm
 and a square root, so both directions carry domain conditions, on t alone:
 there is no global admissible parameter range, and a row is in or out as a
 whole. A failed pre-image raises DomainError or RangeError with the
-pipeline stage it failed at and the message prefix "pipeline stage i: ".
+message prefix "pipeline stage i: ", and carries the stage i, the group
+index and eps as values: ``err.stage``, ``err.group`` and ``err.eps``.
 """
 
 from __future__ import annotations
@@ -53,12 +54,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .errors import DomainError, InvalidParameter, RangeError, finite_real, integer
-from .solutions import (
-    EXP_GUARD,
-    ModelParams,
-    _finite,
-    safe_exp,
-)
+from .solutions import _GUARD, EXP_GUARD, ModelParams, _finite, safe_exp
 # for bench/tracer.py, which rebinds these uncalled names; ROADMAP item 1 deletes this line
 eval_term_partials = pullback = pullback_chain = None
 
@@ -76,6 +72,10 @@ __all__ = [
 # d/deps of forward_map at eps = 0 equals FLOW_ORIENTATION[i-1] * xi_i.
 FLOW_ORIENTATION = (1.0, 1.0, 1.0, -1.0, -1.0, 1.0)
 _ROWS = 256  # times whose composed records a transported solution keeps; a 201-row table fits
+# failure templates, joined only when read (see errors); the last two label the caller's point
+_NO_PRE_IMAGE = "pipeline stage {stage}: no pre-image under G{group}({eps!r}): {err}"
+_BASE_FAILS = "result at (t, S) = ({t!r}, {S!r}): the base fails at its pre-image: {err}"
+_FACTOR_FAILS = "result at (t, S) = ({t!r}, {S!r}): the pipeline's factor e^(-K) fails: " + _GUARD
 
 
 class GroupElement(namedtuple("GroupElement", "gen_index epsilon")):
@@ -128,8 +128,8 @@ def _g4(t, eps, params):
     grow = safe_exp(2.0 * r * t)
     w = grow + eps
     if w <= 0.0:
-        raise DomainError(
-            f"G4 needs e^(2rt) + eps > 0; got {w:.6g} at t = {t!r}, eps = {eps!r}")
+        raise DomainError("G4 needs e^(2rt) + eps > 0; got {w:.6g} at t = {t!r}, eps = {eps!r}",
+                          w=w, t=t, eps=eps)
     log_w = math.log(w)
     A = safe_exp(r * t) / math.sqrt(w)
     k2 = r * eps / sigma2 / w  # in turn: sigma2 * w can underflow to 0
@@ -142,8 +142,8 @@ def _g5(t, eps, params):
     shrink = safe_exp(-2.0 * r * t)
     v = shrink + eps
     if v <= 0.0:
-        raise DomainError(
-            f"G5 needs e^(-2rt) + eps > 0; got {v:.6g} at t = {t!r}, eps = {eps!r}")
+        raise DomainError("G5 needs e^(-2rt) + eps > 0; got {v:.6g} at t = {t!r}, eps = {eps!r}",
+                          v=v, t=t, eps=eps)
     log_v = math.log(v)
     A = safe_exp(-r * t) / math.sqrt(v)
     return (-log_v / (2.0 * r), shrink / v, A, -A * r * eps / v, 0.0, 0.0,
@@ -165,7 +165,7 @@ def _compose(stages, t, params):
     all-identity pipeline gives the identity record. Stage j meets the
     point (T, A S + B) built so far: its new point is affine in S again,
     and its log factor, quadratic in A S + B, adds to the quadratic K. A
-    stage's DomainError or RangeError is re-raised prefixed, with its index.
+    stage's DomainError or RangeError is re-raised prefixed, with its stage, group and eps.
     """
     T, dT, A, dA, B, dB, k0, dk0, k1, dk1, k2, dk2 = (
         t, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -177,8 +177,7 @@ def _compose(stages, t, params):
             T, sT, sA, sdA, sB, sdB, s0, sd0, s1, sd1, s2, sd2 = _RECORDS[g.gen_index - 1](
                 T, -g.epsilon, params)
         except (DomainError, RangeError) as err:
-            raise type(err)(f"pipeline stage {idx}: no pre-image under "
-                            f"G{g.gen_index}({g.epsilon!r}): {err}", stage=idx) from err
+            raise type(err)(_NO_PRE_IMAGE, idx, group=g.gen_index, eps=g.epsilon, err=err) from err
         # the stage's coefficients are functions of T(t): chain rule in t
         sdA, sdB, sd0, sd1, sd2 = sdA * dT, sdB * dT, sd0 * dT, sd1 * dT, sd2 * dT
         # s0 + s1 X + s2 X^2 at X = A S + B, the price the stage meets
@@ -227,19 +226,6 @@ def inverse_point_map(
     return _finite(_point(_compose((g,), target_t, params), target_S)[:2], target_t, target_S)
 
 
-def _at(err, t, S, where):
-    """err's type and message, prefixed by the caller's point and what failed there; stage None."""
-    return type(err)(f"result at (t, S) = ({t!r}, {S!r}): {where}: {err}")
-
-
-def _unguarded(K, t, S):
-    """Raise the exponent guard's RangeError for the pipeline's factor e^{-K}, labelled by (t, S)."""
-    try:
-        safe_exp(-K)
-    except RangeError as err:
-        raise _at(err, t, S, "the pipeline's factor e^(-K) fails") from err
-
-
 def transformed(
     g: GroupElement, f: Callable[[float, float], float], params: ModelParams
 ) -> Callable[[float, float], float]:
@@ -261,16 +247,17 @@ class _Transported:
     The base is evaluated before K is judged; its DomainError or RangeError,
     or a K beyond the exponent guard, is raised with the same type, prefixed
     by the caller's point, "result at (t, S) = (...): ", and stage None, since
-    no stage failed. A non-finite result raises RangeError.
+    no stage failed; it keeps t, S and the base's error ``err``, or the
+    guard's exponent ``x``. A non-finite result raises RangeError.
 
     The composed record depends on t alone, so each t's is kept: a row of
     prices, or the shifted times of every FD stencil on it, costs one
     composition per distinct t. The rows are a dict keyed by t, a zero t by
     its sign, (1.0,) or (-1.0,), and cleared at _ROWS entries. An entry is
-    the record, or a composition's failure (None, type, message, stage),
-    raised afresh as type(message, stage); a point's is not kept. An entry
-    is built whole before it is stored, so threads may share an instance;
-    threads that store at once may pass the bound by one each before a clear.
+    the record, or a failed composition's (None, type, text, stage), raised
+    afresh as type(text, stage); it keeps no frames, and a point's failure
+    is not kept. Entries are built whole before they are stored, so threads
+    may share an instance, and may pass the bound by one each before a clear.
     """
 
     __slots__ = ("stages", "base", "params", "_rows")
@@ -307,9 +294,9 @@ class _Transported:
         try:
             value = self.base(T, A * S + B)
         except (DomainError, RangeError) as err:
-            raise _at(err, t, S, "the base fails at its pre-image") from err
-        if abs(K) > EXP_GUARD:  # safe_exp's guard; _unguarded calls it only to raise
-            _unguarded(K, t, S)
+            raise type(err)(_BASE_FAILS, t=t, S=S, err=err) from err
+        if abs(K) > EXP_GUARD:  # safe_exp's guard
+            raise RangeError(_FACTOR_FAILS, t=t, S=S, x=-K)
         value *= math.exp(-K)
         if not math.isfinite(value):
             _finite((value,), t, S)
@@ -327,10 +314,10 @@ class _Transported:
         try:
             c, c_t, c_s, c_ss = base_partials(T, A * S + B)
         except (DomainError, RangeError) as err:
-            raise _at(err, t, S, "the base fails at its pre-image") from err
+            raise type(err)(_BASE_FAILS, t=t, S=S, err=err) from err
         K = k0 + (k1 + k2 * S) * S
         if abs(K) > EXP_GUARD:
-            _unguarded(K, t, S)
+            raise RangeError(_FACTOR_FAILS, t=t, S=S, x=-K)
         # C(t, S) = e^{-K} c(T, A S + B); linear in c, so e^{-K} scales all four
         K_S = k1 + 2.0 * k2 * S
         E = math.exp(-K)

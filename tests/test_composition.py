@@ -203,6 +203,39 @@ class TestRowCache:
                                           "its pre-image: pipeline stage 0: no pre-image under G4(1.05)")
         assert info.value.stage is None
 
+    def test_a_failure_joins_its_text_only_when_read(self):
+        # the referee skips or NaN-scores a failing point without reading it,
+        # so a raise formats nothing: the caller's t and S are repr'd on str()
+        class Counted(float):
+            reprs = 0
+
+            def __repr__(self):
+                Counted.reprs += 1
+                return float.__repr__(self)
+
+        for text, expected in (
+                ("C1[0] | G2(1e200)", "result at (t, S) = (0.0, 1.0): the base fails at "
+                 "its pre-image: (S / sigma)^2 overflows at S = -1e+200"),
+                ("C1[0] | G6(-400) | G6(-400)", "result at (t, S) = (0.0, 1.0): the pipeline's "
+                 "factor e^(-K) fails: exponent -800 exceeds the +/-700 guard")):
+            f = expression_function(parse_expr(text), P)
+            for call in (f, f.partials):
+                Counted.reprs = 0
+                with pytest.raises(RangeError) as info:
+                    call(Counted(0.0), Counted(1.0))
+                assert Counted.reprs == 0, text
+                assert str(info.value) == expected
+                assert Counted.reprs == 2 and info.value.stage is None
+        # a stage's failure keeps its stage, group and eps as values
+        base = ComboSolution(SolutionTerm(1, 0), P)
+        f = chain_function((GroupElement(6, 0.1), GroupElement(4, 1.05)), base, P)
+        with pytest.raises(DomainError) as info:
+            f(0.25, 1.0)
+        err = info.value
+        assert (err.stage, err.group, err.eps) == (1, 4, 1.05)
+        assert str(err) == ("pipeline stage 1: no pre-image under G4(1.05): G4 needs "
+                            "e^(2rt) + eps > 0; got -0.0246849 at t = 0.25, eps = -1.05")
+
     def test_signed_zero_times_are_not_shared(self, monkeypatch):
         # 0.0 == -0.0, but a pipeline that keeps t hands the sign on to the base
         f = chain_function((GroupElement(2, 0.5),), lambda t, S: math.copysign(1.0, t), P)
